@@ -131,13 +131,19 @@ type DeployConfig struct {
 	// PrepaidQueries sets the voucher quota.
 	PrepaidQueries uint64
 	// Calibration provides the drift-detector reference sample; nil
-	// disables monitoring.
+	// disables monitoring. Its per-feature statistics are computed once
+	// per Deploy or DeployMany call and shared read-only by every device
+	// the call deploys; each device gets its own detectors.
 	Calibration *dataset.Dataset
 	// Watermark, when non-empty, is the customer identity whose static
 	// watermark is embedded into the deployed copy (§V: per-user marks).
 	Watermark string
 	// Pre and Post are optional procvm pipeline modules.
 	Pre, Post *procvm.Module
+
+	// calib is Calibration's statistics, computed once by DeployMany for
+	// its whole fan-out; nil makes Deploy compute its own.
+	calib *calibration
 }
 
 // Deploy selects the best variant of the named model line for the device,
@@ -158,6 +164,12 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		return nil, fmt.Errorf("core: select for %s: %w", deviceID, err)
 	}
 	version := decision.Chosen.Version
+	cal := cfg.calib
+	if cal == nil && cfg.Calibration != nil {
+		if cal, err = newCalibration(cfg.Calibration); err != nil {
+			return nil, err
+		}
+	}
 
 	// Encrypt the artifact, transfer and flash it, decrypt on device.
 	// Compiled (procvm) versions ship the canonical module encoding; the
@@ -218,8 +230,8 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		post:      cfg.Post,
 		runtime:   procvm.NewRuntime(procvm.CapSensor),
 	}
-	if cfg.Calibration != nil {
-		mon, err := buildMonitor(cfg.Calibration)
+	if cal != nil {
+		mon, err := cal.monitor()
 		if err != nil {
 			return nil, err
 		}
@@ -271,37 +283,76 @@ func (p *Platform) Deployments() []*Deployment {
 // Per-device failures are joined into the returned error; successful
 // deployments keep their slots, failed ones are nil.
 func (p *Platform) DeployMany(deviceIDs []string, modelName string, cfg DeployConfig) ([]*Deployment, error) {
+	if cfg.Calibration != nil && cfg.calib == nil {
+		cal, err := newCalibration(cfg.Calibration)
+		if err != nil {
+			return make([]*Deployment, len(deviceIDs)), err
+		}
+		cfg.calib = cal
+	}
 	return engine.Map(p.eng, len(deviceIDs), func(i int) (*Deployment, error) {
 		return p.Deploy(deviceIDs[i], modelName, cfg)
 	})
 }
 
-// buildMonitor calibrates per-feature CUSUM detectors from a reference
-// dataset (cheapest detector; the observability experiment compares the
-// alternatives).
-func buildMonitor(ref *dataset.Dataset) (*observe.Monitor, error) {
+// calibration is the drift reference a deployment's monitor is built
+// from: per-feature mean and standard deviation of a reference dataset and
+// the CUSUM alarm threshold. It is immutable, so one calibration per
+// fan-out is shared read-only by every device the fan-out covers.
+type calibration struct {
+	mean, std []float64
+	h         float64
+}
+
+// newCalibration computes the per-feature statistics in one row-major
+// pass. Each feature's Welford accumulator still sees its values in row
+// order, so the statistics are bit-identical to a feature-by-feature pass.
+func newCalibration(ref *dataset.Dataset) (*calibration, error) {
 	n := ref.Len()
-	rows := make([][]float32, n)
-	es := ref.X.Size() / n
-	for i := 0; i < n; i++ {
-		rows[i] = ref.X.Data[i*es : (i+1)*es]
+	if n == 0 {
+		return nil, fmt.Errorf("core: empty calibration set")
 	}
-	cols := observe.ColumnsOf(rows)
-	// The monitor alarms when ANY feature's detector fires, which divides
-	// the per-feature in-control run length by the feature count; scale
-	// the CUSUM threshold with log(features) to compensate.
-	h := 10 + 4*float64(log2Ceil(len(cols)))
-	return observe.NewMonitor(cols, func(col []float64) (observe.Detector, error) {
-		var w observe.Welford
-		for _, v := range col {
-			w.Add(v)
+	features := ref.X.Size() / n
+	if features == 0 {
+		return nil, fmt.Errorf("core: calibration set has no features")
+	}
+	ws := make([]observe.Welford, features)
+	for i := 0; i < n; i++ {
+		for f, v := range ref.X.Data[i*features : (i+1)*features] {
+			ws[f].Add(float64(v))
 		}
-		std := w.Std()
-		if std <= 0 {
-			std = 1
+	}
+	c := &calibration{
+		mean: make([]float64, features),
+		std:  make([]float64, features),
+		// The monitor alarms when ANY feature's detector fires, which
+		// divides the per-feature in-control run length by the feature
+		// count; scale the CUSUM threshold with log(features) to compensate.
+		h: 10 + 4*float64(log2Ceil(features)),
+	}
+	for f := range ws {
+		c.mean[f] = ws[f].Mean()
+		c.std[f] = ws[f].Std()
+		if c.std[f] <= 0 {
+			c.std[f] = 1
 		}
-		return observe.NewCUSUMDetector(w.Mean(), std, 0.5, h)
-	})
+	}
+	return c, nil
+}
+
+// monitor builds a fresh drift monitor from the calibration: one CUSUM
+// detector per feature (the cheapest detector; the observability
+// experiment compares the alternatives).
+func (c *calibration) monitor() (*observe.Monitor, error) {
+	ds := make([]observe.Detector, len(c.mean))
+	for f := range ds {
+		d, err := observe.NewCUSUMDetector(c.mean[f], c.std[f], 0.5, c.h)
+		if err != nil {
+			return nil, fmt.Errorf("core: calibrate feature %d: %w", f, err)
+		}
+		ds[f] = d
+	}
+	return observe.MonitorOf(ds)
 }
 
 func log2Ceil(n int) int {

@@ -31,7 +31,10 @@ type RolloutConfig struct {
 	// fault plane's hook for imposing per-wave weather.
 	BeforeWave func(wave rollout.Wave, deviceIDs []string)
 	// Calibration recalibrates updated devices' drift monitors for the new
-	// version; nil keeps each device's existing monitor (reset).
+	// version; nil keeps each device's existing monitor (reset). Its
+	// statistics are computed once per Rollout call and shared read-only
+	// by every device the rollout updates; each device gets its own
+	// detectors.
 	Calibration *dataset.Dataset
 	// ForceFull disables delta transfer for every update in the rollout.
 	ForceFull bool
@@ -140,7 +143,15 @@ func (p *Platform) Rollout(target *registry.ModelVersion, cfg RolloutConfig) (*r
 		// registrations.)
 		rcfg.AfterWave = func(rollout.Wave, []string) { cfg.Swarm.AdvanceWave() }
 	}
-	return ctl.Run(&rolloutTarget{p: p, target: target, cfg: cfg}, rcfg)
+	t := &rolloutTarget{p: p, target: target, cfg: cfg}
+	if cfg.Calibration != nil {
+		cal, err := newCalibration(cfg.Calibration)
+		if err != nil {
+			return nil, err
+		}
+		t.calib = cal
+	}
+	return ctl.Run(t, rcfg)
 }
 
 // FederatedRollout closes the §III-D → §III-A loop: run federated training
@@ -168,6 +179,7 @@ type rolloutTarget struct {
 	p      *Platform
 	target *registry.ModelVersion
 	cfg    RolloutConfig
+	calib  *calibration
 }
 
 // DeviceIDs lists devices currently running the target's model line —
@@ -212,6 +224,7 @@ func (t *rolloutTarget) Update(id string) (rollout.Transfer, error) {
 		Calibration: t.cfg.Calibration,
 		ForceFull:   t.cfg.ForceFull,
 		Swarm:       t.cfg.Swarm,
+		calib:       t.calib,
 	})
 	if err != nil {
 		return rollout.Transfer{}, err

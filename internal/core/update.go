@@ -27,7 +27,9 @@ var ErrDeltaBaseMissing = errors.New("core: delta base artifact missing")
 // UpdateOptions controls one deployment update.
 type UpdateOptions struct {
 	// Calibration recalibrates the drift monitor for the new version; nil
-	// keeps the existing monitor and resets its detection state.
+	// keeps the existing monitor and resets its detection state. Its
+	// statistics are computed once per call (once per Rollout when the
+	// update is part of one).
 	Calibration *dataset.Dataset
 	// ForceFull disables delta transfer (used to measure the saving).
 	ForceFull bool
@@ -36,6 +38,10 @@ type UpdateOptions struct {
 	// wave's seeders, with the registry as seeder of last resort, and the
 	// device registers as a pending seeder on success. See internal/swarm.
 	Swarm *swarm.Swarm
+
+	// calib is Calibration's statistics, computed once by Rollout for all
+	// of its updates; nil makes Update compute its own.
+	calib *calibration
 }
 
 // UpdateReport accounts one update (or rollback): what moved, how it was
@@ -101,6 +107,13 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		return nil, fmt.Errorf("core: nil update target")
 	}
 	p := d.platform
+	cal := opts.calib
+	if cal == nil && opts.Calibration != nil {
+		var err error
+		if cal, err = newCalibration(opts.Calibration); err != nil {
+			return nil, err
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
@@ -125,8 +138,8 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		// so a gate judging this device sees post-update traffic only,
 		// never a stale alarm from before the rollout.
 		d.rollWindowLocked()
-		if opts.Calibration != nil {
-			mon, merr := buildMonitor(opts.Calibration)
+		if cal != nil {
+			mon, merr := cal.monitor()
 			if merr != nil {
 				return nil, merr
 			}
@@ -174,7 +187,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 			rep.FlashBytes = int64(chosen.Metrics.SizeBytes)
 			rep.TransferTime = dur
 		}
-		if err := d.swapLocked(chosen, nil, compiled, opts.Calibration); err != nil {
+		if err := d.swapLocked(chosen, nil, compiled, cal); err != nil {
 			return nil, err
 		}
 		if opts.Swarm != nil {
@@ -221,7 +234,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 			}
 		}
 	}
-	if err := d.swapLocked(chosen, model, nil, opts.Calibration); err != nil {
+	if err := d.swapLocked(chosen, model, nil, cal); err != nil {
 		return nil, err
 	}
 	// The swap succeeded: the device now holds the canonical artifact (and,
@@ -393,7 +406,7 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 // swapLocked installs (version, model-or-module) as the live image, saving
 // the old one for rollback. Exactly one of m and mod is non-nil, matching
 // the version's kind. Caller holds d.mu.
-func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *procvm.Module, calib *dataset.Dataset) error {
+func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *procvm.Module, cal *calibration) error {
 	d.rollWindowLocked()
 	d.prev = &image{version: d.Version, model: d.model, compiled: d.compiled, monitor: d.Monitor}
 	d.Version = v
@@ -412,8 +425,8 @@ func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *pr
 			return err
 		}
 	}
-	if calib != nil {
-		mon, err := buildMonitor(calib)
+	if cal != nil {
+		mon, err := cal.monitor()
 		if err != nil {
 			return err
 		}

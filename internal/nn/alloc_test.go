@@ -47,3 +47,40 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestInMemoryCodecAllocs pins the allocation counts of the in-memory
+// model paths every update takes: costing a delta, decoding an artifact
+// and cloning a network. They read straight from the byte slice and copy
+// layer by layer, with no bufio buffers and no encode/decode round trip
+// inside Clone. A count above its pin is a regression.
+func TestInMemoryCodecAllocs(t *testing.T) {
+	old := deltaFixtureNet(1)
+	target := old.Clone()
+	target.Layers()[7].(*Dense).W.Value.Data[0] = 42
+	delta, err := EncodeDelta(old, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact := marshalOrDie(t, old)
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"CostOfDelta", 4, func() {
+			if _, err := CostOfDelta(delta, 8); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"UnmarshalNetwork", 125, func() {
+			if _, err := UnmarshalNetwork(artifact); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Clone", 73, func() { old.Clone() }},
+	} {
+		if got := testing.AllocsPerRun(50, c.fn); got > c.max {
+			t.Errorf("%s: %.0f allocs/op, pinned at %.0f", c.name, got, c.max)
+		}
+	}
+}

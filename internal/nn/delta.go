@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -82,11 +81,10 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 		return nil, fmt.Errorf("nn: delta topology mismatch: %q vs %q", sig, got)
 	}
 	oldTs, newTs := oldNet.stateTensors(), newNet.stateTensors()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	w.WriteString(deltaMagic) //nolint:errcheck // bytes.Buffer writes cannot fail
-	writeString(w, sig)
-	writeU32(w, uint32(len(oldTs)))
+	var w bytes.Buffer
+	w.WriteString(deltaMagic)
+	writeString(&w, sig)
+	writeU32(&w, uint32(len(oldTs)))
 	for ti := range oldTs {
 		ov, nv := oldTs[ti].Data, newTs[ti].Data
 		if len(ov) != len(nv) {
@@ -98,26 +96,23 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 				changed = append(changed, i)
 			}
 		}
-		writeU32(w, uint32(len(ov)))
+		writeU32(&w, uint32(len(ov)))
 		// Sparse costs 8 bytes per change, dense 4 per element.
 		if len(changed)*8 < len(ov)*4 {
-			w.WriteByte(deltaSparse) //nolint:errcheck
-			writeU32(w, uint32(len(changed)))
+			w.WriteByte(deltaSparse)
+			writeU32(&w, uint32(len(changed)))
 			for _, i := range changed {
-				writeU32(w, uint32(i))
-				writeF32(w, nv[i])
+				writeU32(&w, uint32(i))
+				writeF32(&w, nv[i])
 			}
 		} else {
-			w.WriteByte(deltaDense) //nolint:errcheck
+			w.WriteByte(deltaDense)
 			for _, v := range nv {
-				writeF32(w, v)
+				writeF32(&w, v)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // ApplyDelta returns a new network equal to oldNet with the delta applied.
@@ -125,7 +120,7 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 // device cannot corrupt its model with a patch meant for another variant.
 // The input network is not modified.
 func ApplyDelta(oldNet *Network, delta []byte) (*Network, error) {
-	r := bufio.NewReader(bytes.NewReader(delta))
+	r := bytes.NewReader(delta)
 	got := make([]byte, len(deltaMagic))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("nn: delta header: %w", err)
@@ -223,7 +218,7 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 	if bits <= 0 {
 		bits = 32
 	}
-	r := bufio.NewReader(bytes.NewReader(delta))
+	r := bytes.NewReader(delta)
 	got := make([]byte, len(deltaMagic))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return DeltaCost{}, fmt.Errorf("nn: delta header: %w", err)
@@ -253,7 +248,7 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 		}
 		switch mode {
 		case deltaDense:
-			if _, err := io.CopyN(io.Discard, r, int64(total)*4); err != nil {
+			if err := skip(r, int64(total)*4); err != nil {
 				return DeltaCost{}, fmt.Errorf("nn: delta tensor %d: %w", ti, err)
 			}
 			cost.ChangedParams += int(total)
@@ -264,7 +259,7 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 			if err != nil {
 				return DeltaCost{}, err
 			}
-			if _, err := io.CopyN(io.Discard, r, int64(nc)*8); err != nil {
+			if err := skip(r, int64(nc)*8); err != nil {
 				return DeltaCost{}, fmt.Errorf("nn: delta tensor %d: %w", ti, err)
 			}
 			cost.ChangedParams += int(nc)
@@ -279,7 +274,7 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 
 // readDeltaString reads a length-prefixed string without the 1 KiB bound of
 // readString: topology signatures of deep networks can exceed it.
-func readDeltaString(r *bufio.Reader) (string, error) {
+func readDeltaString(r decReader) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
@@ -292,4 +287,13 @@ func readDeltaString(r *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("nn: read delta signature: %w", err)
 	}
 	return string(b), nil
+}
+
+// skip advances r past n bytes, failing with io.EOF when fewer remain.
+func skip(r *bytes.Reader, n int64) error {
+	if n > int64(r.Len()) {
+		return io.EOF
+	}
+	_, err := r.Seek(n, io.SeekCurrent)
+	return err
 }

@@ -177,17 +177,50 @@ func (n *Network) OpKinds() []string {
 	return out
 }
 
-// Clone returns a deep copy of the network (architecture and weights) by
-// round-tripping through the binary serialization. Cloning is how the
-// federated simulator gives every client an independent model.
+// Clone returns a deep copy of the network: the network UnmarshalNetwork
+// would rebuild from MarshalBinary's bytes, built without encoding them.
+// Weights and batch-norm running statistics are copied, gradients start at
+// zero, per-call caches start empty and a dropout layer gets the same
+// fixed-seed RNG a decoded one does. Cloning is how the federated
+// simulator gives every client an independent model. It panics on a layer
+// type the model format cannot carry.
 func (n *Network) Clone() *Network {
-	data, err := n.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("nn: Clone marshal: %v", err))
-	}
-	c, err := UnmarshalNetwork(data)
-	if err != nil {
-		panic(fmt.Sprintf("nn: Clone unmarshal: %v", err))
+	c := &Network{InputShape: append([]int(nil), n.InputShape...), layers: make([]Layer, len(n.layers))}
+	for i, l := range n.layers {
+		c.layers[i] = cloneLayer(l)
 	}
 	return c
+}
+
+// cloneLayer mirrors decodeLayer: it builds the layer decodeLayer would
+// return for encodeLayer's output.
+func cloneLayer(l Layer) Layer {
+	switch v := l.(type) {
+	case *Dense:
+		return &Dense{In: v.In, Out: v.Out,
+			W: newParam("weight", v.W.Value.Clone()), B: newParam("bias", v.B.Value.Clone())}
+	case *Conv2D:
+		return &Conv2D{InC: v.InC, OutC: v.OutC, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad,
+			W: newParam("weight", v.W.Value.Clone()), B: newParam("bias", v.B.Value.Clone())}
+	case *MaxPool2D:
+		return &MaxPool2D{K: v.K, Stride: v.Stride}
+	case *BatchNorm1D:
+		return &BatchNorm1D{F: v.F, Eps: v.Eps, Momentum: v.Momentum,
+			Gamma: newParam("gamma", v.Gamma.Value.Clone()), Beta: newParam("beta", v.Beta.Value.Clone()),
+			RunMean: v.RunMean.Clone(), RunVar: v.RunVar.Clone()}
+	case *Dropout:
+		return &Dropout{P: v.P, rng: tensor.NewRNG(0)}
+	case *Flatten:
+		return NewFlatten()
+	case *ReLU:
+		return NewReLU()
+	case *Sigmoid:
+		return NewSigmoid()
+	case *Tanh:
+		return NewTanh()
+	case *Softmax:
+		return NewSoftmax()
+	default:
+		panic(fmt.Sprintf("nn: Clone: unknown layer type %T", l))
+	}
 }

@@ -3,7 +3,6 @@ package nn
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +21,7 @@ const netMagic = "TMLN1\n"
 // batch norm, running statistics).
 func (n *Network) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
+	if err := n.encode(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -31,38 +30,85 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 // Encode writes the network to w in the binary model format.
 func (n *Network) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(netMagic); err != nil {
-		return fmt.Errorf("nn: encode: %w", err)
-	}
-	writeU32(bw, uint32(len(n.InputShape)))
-	for _, d := range n.InputShape {
-		writeU32(bw, uint32(d))
-	}
-	writeU32(bw, uint32(len(n.layers)))
-	for i, l := range n.layers {
-		if err := encodeLayer(bw, l); err != nil {
-			return fmt.Errorf("nn: encode layer %d (%s): %w", i, l.Kind(), err)
-		}
+	if err := n.encode(bw); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// UnmarshalNetwork parses a network serialized by MarshalBinary.
-func UnmarshalNetwork(data []byte) (*Network, error) {
-	return DecodeNetwork(bytes.NewReader(data))
+// encWriter is what the encoders write to: a bufio.Writer over a real
+// stream, or the bytes.Buffer of an in-memory encode.
+type encWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
 }
 
-// DecodeNetwork reads a network in the binary model format from r.
+// decReader is what the decoders read from: a bufio.Reader over a real
+// stream, or a bytes.Reader over an in-memory artifact.
+type decReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func (n *Network) encode(w encWriter) error {
+	if _, err := w.WriteString(netMagic); err != nil {
+		return fmt.Errorf("nn: encode: %w", err)
+	}
+	writeU32(w, uint32(len(n.InputShape)))
+	for _, d := range n.InputShape {
+		writeU32(w, uint32(d))
+	}
+	writeU32(w, uint32(len(n.layers)))
+	for i, l := range n.layers {
+		if err := encodeLayer(w, l); err != nil {
+			return fmt.Errorf("nn: encode layer %d (%s): %w", i, l.Kind(), err)
+		}
+	}
+	return nil
+}
+
+// UnmarshalNetwork parses a network serialized by MarshalBinary. The
+// encoding is canonical: bytes after the network are rejected, so every
+// accepted artifact re-marshals to exactly its input.
+func UnmarshalNetwork(data []byte) (*Network, error) {
+	r := bytes.NewReader(data)
+	net, err := decodeNetwork(r)
+	if err != nil {
+		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("nn: %d trailing bytes after model", r.Len())
+	}
+	return net, nil
+}
+
+// DecodeNetwork reads a network in the binary model format from r, which
+// must end with it: like UnmarshalNetwork, it rejects trailing bytes.
 func DecodeNetwork(r io.Reader) (*Network, error) {
 	br := bufio.NewReader(r)
+	net, err := decodeNetwork(br)
+	if err != nil {
+		return nil, err
+	}
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, errors.New("nn: trailing bytes after model")
+	case err != io.EOF:
+		return nil, fmt.Errorf("nn: decode trailer: %w", err)
+	}
+	return net, nil
+}
+
+func decodeNetwork(r decReader) (*Network, error) {
 	got := make([]byte, len(netMagic))
-	if _, err := io.ReadFull(br, got); err != nil {
+	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("nn: decode header: %w", err)
 	}
 	if string(got) != netMagic {
 		return nil, errors.New("nn: not a TMLN1 model stream")
 	}
-	rank, err := readU32(br)
+	rank, err := readU32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -71,22 +117,22 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 	}
 	inShape := make([]int, rank)
 	for i := range inShape {
-		d, err := readU32(br)
+		d, err := readU32(r)
 		if err != nil {
 			return nil, err
 		}
 		inShape[i] = int(d)
 	}
-	count, err := readU32(br)
+	count, err := readU32(r)
 	if err != nil {
 		return nil, err
 	}
 	if count > 4096 {
 		return nil, fmt.Errorf("nn: implausible layer count %d", count)
 	}
-	net := NewNetwork(inShape)
+	net := &Network{InputShape: inShape, layers: make([]Layer, 0, count)}
 	for i := uint32(0); i < count; i++ {
-		l, err := decodeLayer(br)
+		l, err := decodeLayer(r)
 		if err != nil {
 			return nil, fmt.Errorf("nn: decode layer %d: %w", i, err)
 		}
@@ -95,7 +141,7 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 	return net, nil
 }
 
-func encodeLayer(w *bufio.Writer, l Layer) error {
+func encodeLayer(w encWriter, l Layer) error {
 	writeString(w, l.Kind())
 	switch v := l.(type) {
 	case *Dense:
@@ -126,7 +172,7 @@ func encodeLayer(w *bufio.Writer, l Layer) error {
 	}
 }
 
-func decodeLayer(r *bufio.Reader) (Layer, error) {
+func decodeLayer(r decReader) (Layer, error) {
 	kind, err := readString(r)
 	if err != nil {
 		return nil, err
@@ -183,6 +229,9 @@ func decodeLayer(r *bufio.Reader) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
+		if k < 1 || s < 1 {
+			return nil, fmt.Errorf("maxpool2d window %d stride %d must be >= 1", k, s)
+		}
 		return NewMaxPool2D(int(k), int(s)), nil
 	case "batchnorm1d":
 		f, err := readU32(r)
@@ -210,6 +259,9 @@ func decodeLayer(r *bufio.Reader) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
+		if p < 0 || p >= 1 {
+			return nil, fmt.Errorf("dropout probability %v out of [0,1)", p)
+		}
 		// A deserialized dropout layer gets a fixed-seed RNG; inference is
 		// unaffected (dropout is identity at inference) and callers that
 		// resume training can replace it.
@@ -219,7 +271,7 @@ func decodeLayer(r *bufio.Reader) (Layer, error) {
 	}
 }
 
-func writeTensors(w *bufio.Writer, ts ...*tensor.Tensor) error {
+func writeTensors(w io.Writer, ts ...*tensor.Tensor) error {
 	for _, t := range ts {
 		if _, err := t.WriteTo(w); err != nil {
 			return err
@@ -228,7 +280,7 @@ func writeTensors(w *bufio.Writer, ts ...*tensor.Tensor) error {
 	return nil
 }
 
-func readTensors(r *bufio.Reader, n int) ([]*tensor.Tensor, error) {
+func readTensors(r io.Reader, n int) ([]*tensor.Tensor, error) {
 	out := make([]*tensor.Tensor, n)
 	for i := range out {
 		var t tensor.Tensor
@@ -240,33 +292,43 @@ func readTensors(r *bufio.Reader, n int) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:]) //nolint:errcheck // bufio.Writer records the first error; Flush reports it.
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("nn: read u32: %w", err)
+// writeU32 writes v little-endian. Write errors are not returned: a
+// bufio.Writer records the first one and Flush reports it, and a
+// bytes.Buffer cannot fail.
+func writeU32(w io.ByteWriter, v uint32) {
+	for i := 0; i < 4; i++ {
+		w.WriteByte(byte(v >> (8 * i))) //nolint:errcheck // see above
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-func writeF32(w *bufio.Writer, v float32) { writeU32(w, math.Float32bits(v)) }
+func readU32(r io.ByteReader) (uint32, error) {
+	var v uint32
+	for i := 0; i < 4; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, fmt.Errorf("nn: read u32: %w", err)
+		}
+		v |= uint32(b) << (8 * i)
+	}
+	return v, nil
+}
 
-func readF32(r io.Reader) (float32, error) {
+func writeF32(w io.ByteWriter, v float32) { writeU32(w, math.Float32bits(v)) }
+
+func readF32(r io.ByteReader) (float32, error) {
 	v, err := readU32(r)
 	return math.Float32frombits(v), err
 }
 
-func writeString(w *bufio.Writer, s string) {
+func writeString(w encWriter, s string) {
 	writeU32(w, uint32(len(s)))
 	w.WriteString(s) //nolint:errcheck // see writeU32
 }
 
-func readString(r io.Reader) (string, error) {
+func readString(r decReader) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err

@@ -249,15 +249,24 @@ func NewMonitor(reference [][]float64, factory func(ref []float64) (Detector, er
 	if len(reference) == 0 {
 		return nil, fmt.Errorf("observe: empty reference")
 	}
-	m := &Monitor{alarmTick: -1}
+	detectors := make([]Detector, len(reference))
 	for f, ref := range reference {
 		d, err := factory(ref)
 		if err != nil {
 			return nil, fmt.Errorf("observe: feature %d: %w", f, err)
 		}
-		m.detectors = append(m.detectors, d)
+		detectors[f] = d
 	}
-	return m, nil
+	return MonitorOf(detectors)
+}
+
+// MonitorOf builds a monitor over already-calibrated detectors, one per
+// feature in feature order. The monitor owns the slice and the detectors.
+func MonitorOf(detectors []Detector) (*Monitor, error) {
+	if len(detectors) == 0 {
+		return nil, fmt.Errorf("observe: empty reference")
+	}
+	return &Monitor{detectors: detectors, alarmTick: -1}, nil
 }
 
 // Observe consumes one example (length must equal the feature count).

@@ -283,25 +283,32 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
+// maxReadElems bounds the element count ReadFrom accepts (1 GiB of data).
+const maxReadElems = 1 << 28
+
+// readChunkElems is how many elements ReadFrom decodes per read.
+const readChunkElems = 1 << 16
+
 // ReadFrom deserializes a tensor written by WriteTo, replacing t's contents.
+// It grows the tensor as the data arrives, so a header claiming more
+// elements than the stream holds costs at most one chunk of memory.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	var n int64
-	got := make([]byte, len(magic))
-	m, err := io.ReadFull(r, got)
+	hdr := make([]byte, len(magic)+4)
+	m, err := io.ReadFull(r, hdr[:len(magic)])
 	n += int64(m)
 	if err != nil {
 		return n, fmt.Errorf("tensor: read header: %w", err)
 	}
-	if string(got) != magic {
+	if string(hdr[:len(magic)]) != magic {
 		return n, errors.New("tensor: bad magic in stream")
 	}
-	var rank [4]byte
-	m, err = io.ReadFull(r, rank[:])
+	m, err = io.ReadFull(r, hdr[len(magic):])
 	n += int64(m)
 	if err != nil {
 		return n, fmt.Errorf("tensor: read rank: %w", err)
 	}
-	k := int(binary.LittleEndian.Uint32(rank[:]))
+	k := int(binary.LittleEndian.Uint32(hdr[len(magic):]))
 	if k <= 0 || k > 8 {
 		return n, fmt.Errorf("tensor: implausible rank %d", k)
 	}
@@ -314,23 +321,37 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	shape := make([]int, k)
 	total := 1
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
-		total *= shape[i]
+		d := int(binary.LittleEndian.Uint32(dims[4*i:]))
+		shape[i] = d
+		// Saturate instead of overflowing: a later zero dimension still
+		// makes the true product zero.
+		if d != 0 && total > maxReadElems/d {
+			total = maxReadElems + 1
+		} else {
+			total *= d
+		}
 	}
-	if total < 0 || total > 1<<28 {
-		return n, fmt.Errorf("tensor: implausible element count %d", total)
+	if total > maxReadElems {
+		return n, fmt.Errorf("tensor: implausible element count in shape %v", shape)
 	}
-	buf := make([]byte, 4*total)
-	m, err = io.ReadFull(r, buf)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: read data: %w", err)
+	buf := make([]byte, 4*min(total, readChunkElems))
+	data := make([]float32, 0, min(total, readChunkElems))
+	for len(data) < total {
+		if len(data) == cap(data) {
+			data = append(make([]float32, 0, min(total, 2*len(data))), data...)
+		}
+		c := min(cap(data)-len(data), readChunkElems)
+		m, err = io.ReadFull(r, buf[:4*c])
+		n += int64(m)
+		if err != nil {
+			return n, fmt.Errorf("tensor: read data: %w", err)
+		}
+		for i := 0; i < c; i++ {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
 	}
 	t.shape = shape
-	t.Data = make([]float32, total)
-	for i := range t.Data {
-		t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
+	t.Data = data
 	return n, nil
 }
 

@@ -2,7 +2,9 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -305,6 +307,64 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	var y Tensor
 	if _, err := y.ReadFrom(bytes.NewReader([]byte("not a tensor stream"))); err == nil {
 		t.Fatal("ReadFrom accepted garbage")
+	}
+}
+
+// tensorHeader encodes a WriteTo header (magic, rank, dims) with no data.
+func tensorHeader(dims ...uint32) []byte {
+	b := append([]byte(magic), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(b[len(magic):], uint32(len(dims)))
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return b
+}
+
+// TestReadFromChunkedRoundTrip crosses several read chunks and checks the
+// decoded tensor is exact and sized to its data.
+func TestReadFromChunkedRoundTrip(t *testing.T) {
+	x := Randn(NewRNG(4), 1, 3, readChunkElems+7)
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var y Tensor
+	if _, err := y.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !ApproxEqual(x, &y, 0) || cap(y.Data) != len(y.Data) {
+		t.Fatalf("round trip: equal=%v len=%d cap=%d", ApproxEqual(x, &y, 0), len(y.Data), cap(y.Data))
+	}
+}
+
+// TestReadFromRejectsOverflowingShape: a shape whose element count wraps
+// the int product (65536⁴ = 2⁶⁴ → 0) used to decode as an empty tensor
+// with a huge shape.
+func TestReadFromRejectsOverflowingShape(t *testing.T) {
+	var y Tensor
+	if _, err := y.ReadFrom(bytes.NewReader(tensorHeader(65536, 65536, 65536, 65536))); err == nil {
+		t.Fatalf("accepted shape %v with %d elements", y.Shape(), len(y.Data))
+	}
+	// A zero dimension still makes a legitimately empty tensor.
+	if _, err := y.ReadFrom(bytes.NewReader(tensorHeader(1<<30, 0))); err != nil || len(y.Data) != 0 {
+		t.Fatalf("empty tensor: err=%v len=%d", err, len(y.Data))
+	}
+}
+
+// TestReadFromBoundsLyingHeader: a header claiming far more elements than
+// the stream holds must fail without allocating its claim.
+func TestReadFromBoundsLyingHeader(t *testing.T) {
+	hdr := tensorHeader(1<<14, 1<<13) // 2^27 elements, 512 MiB claimed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var y Tensor
+	_, err := y.ReadFrom(bytes.NewReader(append(hdr, 1, 2, 3, 4)))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a truncated tensor")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("a lying header allocated %d bytes", grew)
 	}
 }
 
