@@ -190,7 +190,7 @@ func offloadSession(b *testing.B, cut int, cloud *offload.CloudTier, model *nn.N
 	dev.SetNet(device.WiFi)
 	plan := market.SplitPlan{Cut: cut}
 	s, err := offload.NewSession(offload.SessionConfig{
-		Tenant: id, VersionID: "bench", Device: dev, Model: model.Clone(),
+		Tenant: id, VersionID: "bench", Device: dev, Exec: offload.Float(model.Clone(), 32),
 		Cloud: cloud, Plan: &plan, Replan: offload.ReplanConfig{Disabled: true},
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func Offload() []Case {
 		{Name: "OffloadMonolithic", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.Register("bench", model, 32); err != nil {
+			if err := cloud.Register("bench", offload.Float(model, 32)); err != nil {
 				b.Fatal(err)
 			}
 			cloud.Start()
@@ -233,7 +233,7 @@ func Offload() []Case {
 		{Name: "OffloadSplit", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.Register("bench", model, 32); err != nil {
+			if err := cloud.Register("bench", offload.Float(model, 32)); err != nil {
 				b.Fatal(err)
 			}
 			cloud.Start()
@@ -250,7 +250,7 @@ func Offload() []Case {
 		{Name: "OffloadBatchedCloud16", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{MaxBatch: 32, QueueCap: 1024, Dispatchers: 2})
-			if err := cloud.Register("bench", model, 32); err != nil {
+			if err := cloud.Register("bench", offload.Float(model, 32)); err != nil {
 				b.Fatal(err)
 			}
 			cloud.Start()
@@ -524,7 +524,15 @@ func Protect() []Case {
 				b.Fatal(err)
 			}
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.RegisterProtected("bench", esess, "bench-art", 32); err != nil {
+			net, err := esess.Network("bench-art")
+			if err != nil {
+				b.Fatal(err)
+			}
+			prot, err := offload.Protected(esess, offload.Float(net, 32))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cloud.Register("bench", prot); err != nil {
 				b.Fatal(err)
 			}
 			cloud.Start()

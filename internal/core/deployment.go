@@ -11,6 +11,7 @@ import (
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/observe"
+	"tinymlops/internal/offload"
 	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/registry"
@@ -18,120 +19,26 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// runnable is the executable behind a deployment's forward passes: the
-// float network, or the integer-kernel QModel when the selected variant's
-// scheme has native hardware support on the device (§III-A: low precision
-// buys nothing unless the device runs real integer kernels).
-type runnable interface {
-	// forwardBatch runs inference on a [batch, features] tensor, borrowing
-	// scratch from the worker arena (nil falls back to the runnable's own
-	// scratch). The result aliases scratch storage; the caller must hold
-	// d.mu and consume it before the next call.
-	forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor
-	// execScheme is the weight precision of the kernels actually running.
-	execScheme() quant.Scheme
-	// execBits is the bit width charged to the device cost model.
-	execBits() int
-}
-
-// floatRunnable serves a deployment from the float engine. For integer
-// variants without native hardware support the weights are already
-// fake-quantized in the artifact, and bits keeps the variant's width so
-// the device cost model charges the emulation penalty.
-type floatRunnable struct {
-	net     *nn.Network
-	scratch *nn.Scratch // fallback when no arena is supplied
-	bits    int
-}
-
-func (r *floatRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	s := r.scratch
-	if ar != nil {
-		s = ar.Slot(r, func() any { return nn.NewScratch() }).(*nn.Scratch)
-	}
-	return r.net.ForwardBatch(x, s)
-}
-func (r *floatRunnable) execScheme() quant.Scheme { return quant.Float32 }
-func (r *floatRunnable) execBits() int            { return r.bits }
-
-// intRunnable serves a deployment from the integer kernels at the
-// variant's native bit width.
-type intRunnable struct {
-	qm      *quant.QModel
-	scratch *quant.QScratch // fallback when no arena is supplied
-}
-
-func (r *intRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	s := r.scratch
-	if ar != nil {
-		s = ar.Slot(r, func() any { return quant.NewQScratch() }).(*quant.QScratch)
-	}
-	return r.qm.ForwardBatch(x, s)
-}
-func (r *intRunnable) execScheme() quant.Scheme { return r.qm.Scheme }
-func (r *intRunnable) execBits() int            { return r.qm.Scheme.Bits() }
-
-// vmRunnable serves a deployment from a compiled procvm module — the
-// obfuscated portable format. Execution is row-by-row (the VM is a
-// single-vector machine); the compile-time gate proved the bytecode
-// bit-identical to the float network it was lowered from, so a run failure
-// here means corrupted state and panics like the nn kernels do.
-type vmRunnable struct {
-	mod *procvm.Module
-	rt  *procvm.Runtime
-}
-
-func newVMRunnable(mod *procvm.Module, granted procvm.Capability) *vmRunnable {
-	rt := procvm.NewRuntime(granted)
-	if mod.GasLimit > rt.MaxGas {
-		rt.MaxGas = mod.GasLimit
-	}
-	return &vmRunnable{mod: mod, rt: rt}
-}
-
-func (r *vmRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	rows := x.Dim(0)
-	cols := 1
-	if rows > 0 {
-		cols = x.Size() / rows
-	}
-	var out *tensor.Tensor
-	for i := 0; i < rows; i++ {
-		res, err := r.rt.Run(r.mod, x.Data[i*cols:(i+1)*cols])
-		if err != nil {
-			panic(fmt.Sprintf("core: compiled module %s failed: %v", r.mod.Name, err))
-		}
-		if !res.Output.IsVec {
-			panic(fmt.Sprintf("core: compiled module %s did not produce a vector", r.mod.Name))
-		}
-		if out == nil {
-			out = tensor.New(rows, len(res.Output.Vec))
-		}
-		copy(out.Data[i*out.Dim(1):(i+1)*out.Dim(1)], res.Output.Vec)
-	}
-	if out == nil {
-		out = tensor.New(0, 1)
-	}
-	return out
-}
-func (r *vmRunnable) execScheme() quant.Scheme { return quant.Float32 }
-func (r *vmRunnable) execBits() int            { return 32 }
-
-// newRunnable builds the executable for (device, version, model): a
-// variant with an integer scheme the device supports natively executes on
-// the quant integer kernels; everything else — float bases, devices
-// without the bit width, models the integer runtime cannot lower — runs
-// the float engine over the artifact's (fake-quantized) weights, charged
-// at the variant's bit width so unsupported widths pay the emulation
-// penalty. The registry artifact stays the source of truth: the QModel is
+// newExecutable builds the executable serving (device, version): a
+// compiled version runs its procvm module; a variant with an integer
+// scheme the device supports natively executes on the quant integer
+// kernels; everything else — float bases, devices without the bit width,
+// models the integer runtime cannot lower — runs the float engine over
+// the artifact's (fake-quantized) weights, charged at the variant's bit
+// width so unsupported widths pay the emulation penalty (§III-A: low
+// precision buys nothing unless the device runs real integer kernels).
+// The registry artifact stays the source of truth: the executable is
 // re-derived from the decrypted model after every update or rollback.
-func newRunnable(dev *device.Device, v *registry.ModelVersion, model *nn.Network) runnable {
+func newExecutable(dev *device.Device, v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) offload.Executable {
+	if compiled != nil {
+		return offload.Module(compiled, procvm.CapSensor, v.Metrics.MACs, nil)
+	}
 	if v.Scheme != quant.Float32 && dev.Caps.SupportsBits(v.Scheme.Bits()) {
-		if qm, err := quant.NewQModel(model, v.Scheme); err == nil {
-			return &intRunnable{qm: qm, scratch: quant.NewQScratch()}
+		if e, err := offload.Quant(model, v.Scheme); err == nil {
+			return e
 		}
 	}
-	return &floatRunnable{net: model, scratch: nn.NewScratch(), bits: v.Scheme.Bits()}
+	return offload.Float(model, v.Scheme.Bits())
 }
 
 // image is one installed model generation: what a rollback restores.
@@ -164,7 +71,7 @@ type Deployment struct {
 	// whose artifact is the module in `compiled` instead.
 	model     *nn.Network
 	compiled  *procvm.Module
-	run       runnable
+	run       offload.Executable
 	policy    selector.Policy
 	watermark string
 	pre       *procvm.Module
@@ -217,8 +124,8 @@ type admitted struct {
 var ErrQueryDenied = errors.New("core: query denied by meter")
 
 // acquireArena borrows a worker arena from the platform pool (nil for
-// deployments constructed without a platform, e.g. in tests — runnables
-// then fall back to their own scratch).
+// deployments constructed without a platform, e.g. in tests — the
+// executable then runs on one-shot scratch).
 func (d *Deployment) acquireArena() *engine.Arena {
 	if d.platform == nil {
 		return nil
@@ -342,7 +249,7 @@ func (d *Deployment) Infer(x []float32) (InferenceResult, error) {
 
 	// Inference on the device cost model, charged at the bit width of the
 	// kernels that actually execute (native integer or float/emulated).
-	lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.execBits())
+	lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.Bits())
 	if err != nil {
 		d.winFailed++
 		return InferenceResult{}, fmt.Errorf("core: device: %w", err)
@@ -350,7 +257,7 @@ func (d *Deployment) Infer(x []float32) (InferenceResult, error) {
 	d.batchFeats = append(d.batchFeats[:0], features...)
 	in := d.inputView(1, len(features))
 	ar := d.acquireArena()
-	logits := d.run.forwardBatch(in, ar)
+	logits := d.forwardLocked(in, ar)
 	d.releaseArena(ar)
 
 	// Postprocessing and telemetry accounting.
@@ -435,7 +342,7 @@ func (d *Deployment) InferBatch(rows [][]float32) []BatchOutcome {
 		if d.Monitor != nil {
 			d.Monitor.Observe(features)
 		}
-		lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.execBits())
+		lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.Bits())
 		if err != nil {
 			d.winFailed++
 			out[qi].Err = fmt.Errorf("core: device: %w", err)
@@ -450,7 +357,7 @@ func (d *Deployment) InferBatch(rows [][]float32) []BatchOutcome {
 	}
 
 	ar := d.acquireArena()
-	logits := d.run.forwardBatch(d.inputView(len(adm), fdim), ar)
+	logits := d.forwardLocked(d.inputView(len(adm), fdim), ar)
 	d.releaseArena(ar)
 	if cap(d.batchLabels) < len(adm) {
 		d.batchLabels = make([]int, len(adm))
@@ -558,8 +465,10 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	in := tensor.FromSlice(append([]float32(nil), x...), 1, len(x))
-	out := d.run.forwardBatch(in, nil)
-	return append([]float32(nil), out.Data...)
+	ar := d.acquireArena()
+	out := append([]float32(nil), d.forwardLocked(in, ar).Data...)
+	d.releaseArena(ar)
+	return out
 }
 
 // ExecutionScheme reports the weight precision of the kernels actually
@@ -570,7 +479,29 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 func (d *Deployment) ExecutionScheme() quant.Scheme {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.run.execScheme()
+	return d.run.Scheme()
+}
+
+// executable returns the executable serving this deployment — what an
+// offload session runs its device half on, under the same lock.
+func (d *Deployment) executable() offload.Executable {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.run
+}
+
+// forwardLocked runs the whole serving executable on a [rows, features]
+// batch with scratch borrowed from ar. The result aliases scratch; the
+// caller consumes it before the next call. A compiled module's
+// compile-time gate proved its bytecode bit-identical to the network it
+// was lowered from, so a run failure means corrupted state and panics
+// like the nn kernels do. Caller holds d.mu.
+func (d *Deployment) forwardLocked(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
+	out, err := d.run.Forward(x, 0, d.run.Stages(), ar)
+	if err != nil {
+		panic(fmt.Sprintf("core: deployment %s: %v", d.DeviceID, err))
+	}
+	return out
 }
 
 // Device returns the underlying simulated device.

@@ -2,13 +2,16 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"tinymlops/internal/compat"
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
 	"tinymlops/internal/market"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/offload"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/selector"
@@ -282,8 +285,7 @@ func TestQModelReinstantiatedAcrossUpdateAndRollback(t *testing.T) {
 // native deployment offloads through the QAB1 boundary codec (int8 codes
 // plus one dynamic scale per example), the cloud resumes the same integer
 // kernels at a dense-stage cut, and offloaded answers stay bit-identical
-// to the device executing alone. ErrOffloadInteger is retired — it never
-// fires.
+// to the device executing alone.
 func TestOffloadIntegerDeployments(t *testing.T) {
 	p, ds, _ := integerFixture(t, 24)
 	dep, err := p.Deploy("npu-00", "intline", DeployConfig{
@@ -342,4 +344,26 @@ func TestOffloadIntegerDeployments(t *testing.T) {
 	if !cloud.Registered(ver.ID) {
 		t.Fatal("float entry missing after fallback offload")
 	}
+}
+
+// TestCompiledRunFailurePanics pins the serving contract for compiled
+// deployments: the compile-time gate proved the bytecode bit-identical to
+// its network, so a run failure means corrupted state and the serving
+// path panics, like the nn kernels do, instead of returning bad logits.
+func TestCompiledRunFailurePanics(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	net := nn.NewNetwork([]int{4}, nn.NewDense(4, 3, rng))
+	mod, err := compat.CompileProcVM(net, compat.CompileOptions{Name: "starved"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.GasLimit = 1
+	d := &Deployment{DeviceID: "dev-0", run: newExecutable(nil, &registry.ModelVersion{Kind: registry.KindProcVM}, nil, mod)}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, procvm.ErrOutOfGas.Error()) {
+			t.Fatalf("recovered %q, want a panic naming the gas exhaustion", msg)
+		}
+	}()
+	d.forwardLocked(tensor.New(1, 4), nil)
 }

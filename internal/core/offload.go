@@ -10,6 +10,7 @@ import (
 	"tinymlops/internal/engine"
 	"tinymlops/internal/market"
 	"tinymlops/internal/offload"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 )
 
@@ -18,14 +19,6 @@ import (
 // the session's plan and the cloud's registered suffix no longer describe
 // the device's model. Re-create the session against the new version.
 var ErrOffloadStale = errors.New("core: offload session is stale (deployment was updated)")
-
-// ErrOffloadInteger was returned by Platform.Offload for integer-kernel
-// deployments before the quantized boundary codec existed. Integer-native
-// deployments now split: the boundary crosses as int8 codes plus a dynamic
-// per-example scale, and the cloud resumes the same integer kernels — so
-// this sentinel is retired and no longer returned. It remains exported so
-// callers' errors.Is checks keep compiling (they simply never match).
-var ErrOffloadInteger = errors.New("core: integer-kernel deployment cannot offload (boundary activations are float-codec only)")
 
 // OffloadConfig controls Platform.Offload.
 type OffloadConfig struct {
@@ -76,8 +69,10 @@ type OffloadOutcome struct {
 // live SplitPlan — prefix on the device, suffix on cfg.Cloud — re-planned
 // as bandwidth, battery and cloud congestion drift.
 //
-// Every variant kind splits, each on its own executor, and every answer
-// stays bit-identical to the device serving the query alone:
+// Every variant kind splits: the device half runs on the deployment's own
+// executable, the cloud half on the executable registered for the
+// version, and every answer stays bit-identical to the device serving the
+// query alone:
 //
 //   - Float deployments ship float boundary activations; the cloud serves
 //     the registry artifact (bit-identical to the device's copy).
@@ -103,7 +98,11 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	}
 	version, model, watermarked := dep.StateSnapshot()
 	compiled := dep.CompiledModule()
-	execScheme := dep.ExecutionScheme()
+	// The session runs its device half on the deployment's own
+	// executable: OffloadSession.Infer holds d.mu for the whole query, so
+	// the sharing serializes with local serving.
+	exec := dep.executable()
+	execScheme := exec.Scheme()
 	if watermarked && execScheme != quant.Float32 {
 		return nil, fmt.Errorf("core: watermarked integer-native deployment on %s cannot offload (the enclave executes the float copy)", deviceID)
 	}
@@ -115,21 +114,38 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	scfg := offload.SessionConfig{
 		Tenant: deviceID,
 		Device: dep.device,
+		Exec:   exec,
 		Cloud:  cfg.Cloud,
 		Retry:  cfg.Retry,
 		Replan: replan,
 		Plan:   cfg.Plan,
 	}
 
+	// register binds the session to the cloud entry under key and makes
+	// that entry servable, building its executable only when the tier
+	// lacks it — fleet-wide session setup registers each version once, not
+	// per device.
+	register := func(key string, build func() (offload.Executable, error)) error {
+		scfg.VersionID = key
+		if cfg.Cloud.Registered(key) {
+			return nil
+		}
+		e, err := build()
+		if err != nil {
+			return err
+		}
+		return cfg.Cloud.Register(key, e)
+	}
+	var err error
 	switch {
 	case compiled != nil:
 		// Obfuscated deployment: the module is sealed to the enclave and
 		// executes whole in the protected world when the plan offloads.
-		sess, err := p.enclaveSession(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !cfg.Cloud.Registered(version.ID) {
+		err = register(version.ID, func() (offload.Executable, error) {
+			sess, err := p.enclaveSession(cfg)
+			if err != nil {
+				return nil, err
+			}
 			blob, err := p.Registry.Bytes(version.ID)
 			if err != nil {
 				return nil, fmt.Errorf("core: offload: %w", err)
@@ -137,50 +153,47 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 			if err := p.provisionSealed(sess, version.ID, blob, true); err != nil {
 				return nil, err
 			}
-			if err := cfg.Cloud.RegisterModule(version.ID, sess, version.ID, version.Metrics.MACs); err != nil {
-				return nil, err
+			mod, err := sess.Module(version.ID)
+			if err != nil {
+				return nil, fmt.Errorf("core: offload: %w", err)
 			}
+			return offload.Protected(sess, offload.Module(mod, mod.Caps, version.Metrics.MACs, nil))
+		})
+		if err != nil {
+			return nil, err
 		}
 		// The module does not declare input geometry; the float artifact it
-		// was lowered from does.
+		// was lowered from does, so the device half runs the deployment's
+		// module with that geometry attached.
 		parent, err := p.Registry.Load(version.ParentID)
 		if err != nil {
 			return nil, fmt.Errorf("core: offload: %w", err)
 		}
-		feats := 1
-		for _, d := range parent.InputShape {
-			feats *= d
-		}
-		scfg.VersionID = version.ID
-		scfg.Module = compiled
-		scfg.ModuleMACs = version.Metrics.MACs
-		scfg.InFeatures = feats
-		scfg.Bits = 32
+		scfg.Exec = offload.Module(compiled, procvm.CapSensor, version.Metrics.MACs, parent.InputShape)
 
 	case watermarked:
 		// The per-device marked copy is sealed to the enclave under a
 		// per-device key: its suffix executes only inside the protected
 		// world, so the split no longer breaks watermark protection.
-		sess, err := p.enclaveSession(cfg)
-		if err != nil {
-			return nil, err
-		}
-		key := version.ID + "@" + deviceID
-		if !cfg.Cloud.Registered(key) {
+		err = register(version.ID+"@"+deviceID, func() (offload.Executable, error) {
+			sess, err := p.enclaveSession(cfg)
+			if err != nil {
+				return nil, err
+			}
 			blob, err := model.MarshalBinary()
 			if err != nil {
 				return nil, fmt.Errorf("core: offload: %w", err)
 			}
+			key := version.ID + "@" + deviceID
 			if err := p.provisionSealed(sess, key, blob, false); err != nil {
 				return nil, err
 			}
-			if err := cfg.Cloud.RegisterProtected(key, sess, key, version.Scheme.Bits()); err != nil {
-				return nil, err
+			net, err := sess.Network(key)
+			if err != nil {
+				return nil, fmt.Errorf("core: offload: %w", err)
 			}
-		}
-		scfg.VersionID = key
-		scfg.Model = model
-		scfg.Bits = version.Scheme.Bits()
+			return offload.Protected(sess, offload.Float(net, version.Scheme.Bits()))
+		})
 
 	case execScheme != quant.Float32:
 		// Integer-native deployment: the cloud lowers the registry artifact
@@ -188,38 +201,28 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		// The "#q" key keeps the quant entry distinct from any float entry
 		// of the same version (devices without native support still split
 		// in float).
-		key := version.ID + "#q"
-		if !cfg.Cloud.Registered(key) {
+		err = register(version.ID+"#q", func() (offload.Executable, error) {
 			cloudModel, err := p.Registry.Load(version.ID)
 			if err != nil {
 				return nil, fmt.Errorf("core: offload: %w", err)
 			}
-			if err := cfg.Cloud.RegisterQuant(key, cloudModel, execScheme); err != nil {
-				return nil, err
-			}
-		}
-		scfg.VersionID = key
-		scfg.Model = model
-		scfg.Scheme = execScheme
-		scfg.Bits = execScheme.Bits()
+			return offload.Quant(cloudModel, execScheme)
+		})
 
 	default:
 		// The cloud serves the registry's own artifact — for an
 		// unwatermarked deployment that is bit-identical to the device's
-		// decrypted copy. Fleet-wide session setup registers each version
-		// once, not per device, so skip the load when the tier has it.
-		if !cfg.Cloud.Registered(version.ID) {
+		// decrypted copy.
+		err = register(version.ID, func() (offload.Executable, error) {
 			cloudModel, err := p.Registry.Load(version.ID)
 			if err != nil {
 				return nil, fmt.Errorf("core: offload: %w", err)
 			}
-			if err := cfg.Cloud.Register(version.ID, cloudModel, version.Scheme.Bits()); err != nil {
-				return nil, err
-			}
-		}
-		scfg.VersionID = version.ID
-		scfg.Model = model
-		scfg.Bits = version.Scheme.Bits()
+			return offload.Float(cloudModel, version.Scheme.Bits()), nil
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// A session's first Infer would otherwise block forever on a tier

@@ -210,10 +210,6 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		return nil, err
 	}
 
-	run := newRunnable(dev, version, model)
-	if compiled != nil {
-		run = newVMRunnable(compiled, procvm.CapSensor)
-	}
 	d := &Deployment{
 		DeviceID:  deviceID,
 		Version:   version,
@@ -221,7 +217,7 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		device:    dev,
 		model:     model,
 		compiled:  compiled,
-		run:       run,
+		run:       newExecutable(dev, version, model, compiled),
 		policy:    cfg.Policy,
 		watermark: cfg.Watermark,
 		Meter:     metering.NewMeter(voucher),

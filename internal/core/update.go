@@ -389,11 +389,7 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 	// Re-derive the executable from the restored image: an integer variant
 	// goes back onto the integer kernels with fresh scratch, a compiled
 	// image back onto the VM.
-	if d.compiled != nil {
-		d.run = newVMRunnable(d.compiled, procvm.CapSensor)
-	} else {
-		d.run = newRunnable(d.device, d.Version, d.model)
-	}
+	d.run = newExecutable(d.device, d.Version, d.model, d.compiled)
 	if d.retained != nil {
 		if err := d.refreshAttestorLocked(); err != nil {
 			return nil, err
@@ -415,11 +411,7 @@ func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *pr
 	// The registry artifact stays the source of truth: deltas patched the
 	// float model, and the executable (QModel included) is re-instantiated
 	// from the result.
-	if mod != nil {
-		d.run = newVMRunnable(mod, procvm.CapSensor)
-	} else {
-		d.run = newRunnable(d.device, v, m)
-	}
+	d.run = newExecutable(d.device, v, m, mod)
 	if d.retained != nil {
 		if err := d.refreshAttestorLocked(); err != nil {
 			return err

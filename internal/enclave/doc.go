@@ -14,9 +14,9 @@
 // A Session is the trusted-loading layer on top: sealed artifacts —
 // networks or compiled procvm modules — unseal only inside the session,
 // which records the plaintext SHA-256 as the attestable measurement,
-// rejects tampered blobs, kind confusion and non-canonical encodings,
-// and executes module queries under the module's own pinned gas limit.
-// The offload cloud tier serves protected suffixes through exactly this
-// interface, so a vendor can prove to a customer what model their
-// queries actually ran against.
+// and rejects tampered blobs, kind confusion and non-canonical
+// encodings. The offload cloud tier's protected executables resolve their
+// networks and modules through exactly this interface (running modules
+// under their own pinned gas limit), so a vendor can prove to a customer
+// what model their queries actually ran against.
 package enclave

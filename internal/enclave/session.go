@@ -11,9 +11,10 @@ import (
 )
 
 // Session is a cloud-tier protected-execution context: it loads sealed
-// model artifacts into the enclave, attests what it loaded, and executes
-// offload suffixes (for watermarked networks) and compiled procvm modules
-// (for obfuscated deployments) inside the protected world. Plaintext model
+// model artifacts into the enclave, attests what it loaded, and hands the
+// resident networks (watermarked per-device copies) and compiled procvm
+// modules (obfuscated deployments) to the offload tier's protected
+// executables, which run them inside the protected world. Plaintext model
 // bytes exist only behind the Session after Unseal — the simulation's
 // stand-in for enclave-resident memory. A Session is safe for concurrent
 // use by any number of goroutines: loads and lookups serialize on one
@@ -140,20 +141,4 @@ func (s *Session) Module(id string) (*procvm.Module, error) {
 		return nil, fmt.Errorf("%w: %s holds a network, not a module", ErrUnknownArtifact, id)
 	}
 	return art.mod, nil
-}
-
-// RunModule executes a loaded module inside the enclave on one input
-// vector. Gas metering applies exactly as outside the protected world: a
-// module that exhausts its pinned limit mid-suffix fails with
-// procvm.ErrOutOfGas and no partial output.
-func (s *Session) RunModule(id string, input []float32) (procvm.Result, error) {
-	mod, err := s.Module(id)
-	if err != nil {
-		return procvm.Result{}, err
-	}
-	rt := procvm.NewRuntime(mod.Caps)
-	if mod.GasLimit > rt.MaxGas {
-		rt.MaxGas = mod.GasLimit
-	}
-	return rt.Run(mod, input)
 }

@@ -115,14 +115,6 @@ func TestSessionErrorPaths(t *testing.T) {
 			_, err := sess.Attest("missing", []byte{1})
 			return err
 		}, ErrUnknownArtifact},
-		{"unknown artifact run", func() error {
-			_, err := sess.RunModule("missing", make([]float32, 4))
-			return err
-		}, ErrUnknownArtifact},
-		{"network artifact run as module", func() error {
-			_, err := sess.RunModule("net", make([]float32, 4))
-			return err
-		}, ErrUnknownArtifact},
 		{"network artifact fetched as module", func() error {
 			_, err := sess.Module("net")
 			return err
@@ -176,42 +168,19 @@ func TestSessionErrorPaths(t *testing.T) {
 	}
 }
 
-// TestRunModuleGasExhaustionMidSuffix pins the protected world's metering:
-// a module whose pinned gas limit is too small for one inference fails
-// with procvm.ErrOutOfGas — inside the enclave exactly as outside — and
-// returns no partial output.
-func TestRunModuleGasExhaustionMidSuffix(t *testing.T) {
-	sess, mod, _, _ := testSessionFixture(t)
-	starved, err := procvm.DecodeModule(mod.Encode())
+// runModule executes a loaded module the way the offload tier's protected
+// executable does: a runtime granting the module's capabilities, its gas
+// ceiling raised to the module's pinned limit.
+func runModule(sess *Session, id string, input []float32) (procvm.Result, error) {
+	mod, err := sess.Module(id)
 	if err != nil {
-		t.Fatal(err)
+		return procvm.Result{}, err
 	}
-	starved.GasLimit = mod.GasLimit / 2 // dies partway through the suffix
-	sealed, err := sess.Enclave().Seal(starved.Encode())
-	if err != nil {
-		t.Fatal(err)
+	rt := procvm.NewRuntime(mod.Caps)
+	if mod.GasLimit > rt.MaxGas {
+		rt.MaxGas = mod.GasLimit
 	}
-	if _, err := sess.LoadSealedModule("starved", sealed); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.RunModule("starved", make([]float32, 4))
-	if !errors.Is(err, procvm.ErrOutOfGas) {
-		t.Fatalf("error %v, want %v", err, procvm.ErrOutOfGas)
-	}
-	if res.Output.IsVec && len(res.Output.Vec) > 0 {
-		t.Fatal("gas exhaustion leaked a partial output")
-	}
-	// The healthy module still runs in the same session.
-	healthy, err := sess.Enclave().Seal(mod.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.LoadSealedModule("healthy", healthy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.RunModule("healthy", make([]float32, 4)); err != nil {
-		t.Fatal(err)
-	}
+	return rt.Run(mod, input)
 }
 
 // TestSessionShared64Goroutines hammers one Session from 64 goroutines
@@ -229,7 +198,7 @@ func TestSessionShared64Goroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []float32{0.25, -1.5, 3, 0.125}
-	ref, err := sess.RunModule("shared", input)
+	ref, err := runModule(sess, "shared", input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +212,7 @@ func TestSessionShared64Goroutines(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("own-%d", g%8)
 			for q := 0; q < 10; q++ {
-				res, err := sess.RunModule("shared", input)
+				res, err := runModule(sess, "shared", input)
 				if err != nil {
 					errCh <- err
 					return

@@ -22,7 +22,7 @@ func NewArena() *Arena {
 }
 
 // Slot returns the arena's object for key, creating it with init on first
-// use. Keys are typically owner pointers (a runnable, a session), so the
+// use. Keys are typically owner pointers (an executable, a session), so the
 // lookup itself never allocates and each owner sees a stable per-arena
 // object across calls.
 func (a *Arena) Slot(key any, init func() any) any {

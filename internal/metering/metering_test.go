@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var vendorKey = []byte("vendor-signing-key-0123456789abcdef")
@@ -253,6 +254,38 @@ func TestSettlementTCPRejectsTamper(t *testing.T) {
 	}
 	if receipt.OK || receipt.Reason != ReasonBadChain {
 		t.Fatalf("receipt = %+v", receipt)
+	}
+}
+
+// TestServerCloseWithIdleClient pins shutdown: a client that connects
+// and never sends must not keep Close from returning, and the server must
+// hang up on it.
+func TestServerCloseWithIdleClient(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, NewSettler(issuer(t)))
+	idle, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// A settled round trip on a second connection proves the server is
+	// serving (so the idle connection has been accepted) before Close.
+	if _, err := SettleOverTCP(srv.Addr(), Report{}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on an idle client connection")
+	}
+	idle.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+	if n, err := idle.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server left the idle connection open (read %d bytes)", n)
 	}
 }
 

@@ -204,11 +204,17 @@ type Server struct {
 	listener net.Listener
 	wg       sync.WaitGroup
 	closed   chan struct{}
+
+	// conns tracks live client connections so Close can end them: a
+	// connected client that never sends would otherwise hold its handler
+	// (and Close) forever.
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
 }
 
 // Serve starts accepting settlement connections on l until Close.
 func Serve(l net.Listener, settler *Settler) *Server {
-	srv := &Server{settler: settler, listener: l, closed: make(chan struct{})}
+	srv := &Server{settler: settler, listener: l, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	return srv
@@ -226,6 +232,10 @@ func (s *Server) acceptLoop() {
 				continue
 			}
 		}
+		if !s.track(conn) {
+			conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -234,8 +244,26 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// track registers a live connection, refusing it once Close has begun.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	reader := bufio.NewReader(conn)
 	dec := json.NewDecoder(reader)
 	enc := json.NewEncoder(conn)
@@ -256,9 +284,17 @@ func (s *Server) handle(conn net.Conn) {
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// Close stops the server and waits for in-flight settlements.
+// Close stops the server: it stops accepting, closes every live client
+// connection (an idle client no longer holds shutdown hostage) and waits
+// for the handlers to exit. A settlement already inside the settler still
+// completes there; only its receipt may be lost with the connection.
 func (s *Server) Close() error {
+	s.mu.Lock()
 	close(s.closed)
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.mu.Unlock()
 	err := s.listener.Close()
 	s.wg.Wait()
 	return err

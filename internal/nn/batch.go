@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"slices"
+
 	"tinymlops/internal/tensor"
 )
 
@@ -49,7 +51,7 @@ func (s *Scratch) buffer(idx int, shape []int) *tensor.Tensor {
 		n *= d
 	}
 	if b := s.bufs[idx]; b != nil && b.Size() == n {
-		if !shapeEqual(b.Shape(), shape) {
+		if !slices.Equal(b.Shape(), shape) {
 			b = tensor.FromSlice(b.Data, shape...)
 			s.bufs[idx] = b
 		}
@@ -83,7 +85,7 @@ func (n *Network) ForwardBatch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	// epilogues preserve each absorbed layer's exact arithmetic, so the
 	// program's output is bit-identical to the layer-by-layer path below.
 	if p := s.prog; p != nil && s.progNet == n && p.batch == x.Dim(0) &&
-		shapeEqual(p.inShape, x.Shape()[1:]) {
+		slices.Equal(p.inShape, x.Shape()[1:]) {
 		return p.run(x)
 	}
 	if p, ok := n.compileBatch(x.Dim(0), x.Shape()[1:]); ok {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -91,7 +92,7 @@ func TestCloneMatchesDecodeRoundTrip(t *testing.T) {
 			}
 
 			for _, p := range clone.Params() {
-				if !shapeEqual(p.Grad.Shape(), p.Value.Shape()) {
+				if !slices.Equal(p.Grad.Shape(), p.Value.Shape()) {
 					t.Fatalf("%s grad shape %v, value shape %v", p.Name, p.Grad.Shape(), p.Value.Shape())
 				}
 				for _, g := range p.Grad.Data {

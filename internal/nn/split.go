@@ -1,18 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"tinymlops/internal/tensor"
-)
-
-// checkCut validates a layer cut point for partitioned execution.
-func (n *Network) checkCut(cut int) error {
-	if cut < 0 || cut > len(n.layers) {
-		return fmt.Errorf("nn: cut %d out of range [0,%d]", cut, len(n.layers))
-	}
-	return nil
-}
+import "fmt"
 
 // Subnet returns a view over layers [lo,hi) of the network: the returned
 // Network shares the receiver's layer objects (weights included — no copy),
@@ -35,52 +23,4 @@ func (n *Network) Subnet(lo, hi int) (*Network, error) {
 		in = append([]int(nil), cs[lo-1].Info.OutShape...)
 	}
 	return &Network{InputShape: in, layers: n.layers[lo:hi]}, nil
-}
-
-// ForwardPrefix runs layers [0,cut) on x in inference mode and returns the
-// boundary activation — the tensor an edge–cloud split ships over the
-// network. cut = 0 returns x unchanged; cut = len(layers) computes the full
-// forward pass. The result is bit-identical to stopping Forward(x, false)
-// after cut layers, so ForwardSuffix(ForwardPrefix(x, c), c) reproduces the
-// monolithic output exactly for any c.
-func (n *Network) ForwardPrefix(x *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
-	}
-	for _, l := range n.layers[:cut] {
-		x = l.Forward(x, false)
-	}
-	return x, nil
-}
-
-// ForwardSuffix runs layers [cut,len) on a boundary activation in
-// inference mode — the cloud half of a partitioned forward pass. cut = 0
-// runs the whole network (the activation is the raw input); cut =
-// len(layers) returns x unchanged (the device already finished).
-func (n *Network) ForwardSuffix(x *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
-	}
-	for _, l := range n.layers[cut:] {
-		x = l.Forward(x, false)
-	}
-	return x, nil
-}
-
-// PrefixShape returns the per-example shape of the activation crossing a
-// cut: the network input shape at cut 0, otherwise layer cut-1's output
-// shape. It is what a cloud suffix endpoint validates incoming activations
-// against.
-func (n *Network) PrefixShape(cut int) ([]int, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
-	}
-	if cut == 0 {
-		return append([]int(nil), n.InputShape...), nil
-	}
-	cs, err := n.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), cs[cut-1].Info.OutShape...), nil
 }

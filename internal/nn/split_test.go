@@ -62,19 +62,27 @@ func bitsEqual(a, b *tensor.Tensor) bool {
 	return true
 }
 
+// forwardRange runs layers [lo,hi) of net on x through a Subnet view.
+func forwardRange(t *testing.T, net *Network, x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	t.Helper()
+	v, err := net.Subnet(lo, hi)
+	if err != nil {
+		t.Fatalf("subnet [%d,%d): %v", lo, hi, err)
+	}
+	return v.Forward(x, false)
+}
+
 // TestSplitBitExactAtEveryCut is the partitioned-execution contract:
-// prefix + suffix, with the boundary activation round-tripped through the
-// tensor codec (the serialized handoff an edge–cloud split performs), is
-// bit-identical to the monolithic forward pass at every possible cut.
+// prefix + suffix views, with the boundary activation round-tripped
+// through the tensor codec (the serialized handoff an edge–cloud split
+// performs), are bit-identical to the monolithic forward pass at every
+// possible cut.
 func TestSplitBitExactAtEveryCut(t *testing.T) {
 	for _, c := range splitNets(t) {
 		want := c.net.Forward(c.x, false)
 		n := len(c.net.Layers())
 		for cut := 0; cut <= n; cut++ {
-			act, err := c.net.ForwardPrefix(c.x, cut)
-			if err != nil {
-				t.Fatalf("%s cut %d: prefix: %v", c.name, cut, err)
-			}
+			act := forwardRange(t, c.net, c.x, 0, cut)
 			// Serialize the boundary activation exactly as the offload
 			// plane ships it.
 			var buf bytes.Buffer
@@ -85,10 +93,7 @@ func TestSplitBitExactAtEveryCut(t *testing.T) {
 			if _, err := wire.ReadFrom(&buf); err != nil {
 				t.Fatalf("%s cut %d: decode: %v", c.name, cut, err)
 			}
-			got, err := c.net.ForwardSuffix(&wire, cut)
-			if err != nil {
-				t.Fatalf("%s cut %d: suffix: %v", c.name, cut, err)
-			}
+			got := forwardRange(t, c.net, &wire, cut, n)
 			if !bitsEqual(got, want) {
 				t.Fatalf("%s cut %d: split output differs from monolithic Forward", c.name, cut)
 			}
@@ -104,10 +109,7 @@ func TestSubnetForwardBatchMatchesSuffix(t *testing.T) {
 		want := c.net.Forward(c.x, false)
 		n := len(c.net.Layers())
 		for cut := 0; cut < n; cut++ {
-			act, err := c.net.ForwardPrefix(c.x, cut)
-			if err != nil {
-				t.Fatal(err)
-			}
+			act := forwardRange(t, c.net, c.x, 0, cut)
 			suffix, err := c.net.Subnet(cut, n)
 			if err != nil {
 				t.Fatalf("%s cut %d: subnet: %v", c.name, cut, err)
@@ -130,10 +132,7 @@ func TestSubnetSharesWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.FromSlice([]float32{1, 0, -1, 2}, 1, 4)
-	act, err := net.ForwardPrefix(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	act := forwardRange(t, net, x, 0, 2)
 	before := suffix.Forward(act, false).Data[0]
 	net.Layers()[2].(*Dense).W.Value.Data[0] += 1
 	after := suffix.Forward(act, false).Data[0]
@@ -145,25 +144,25 @@ func TestSubnetSharesWeights(t *testing.T) {
 func TestSplitValidation(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	net := NewNetwork([]int{4}, NewDense(4, 2, rng))
-	x := tensor.New(1, 4)
-	if _, err := net.ForwardPrefix(x, -1); err == nil {
+	if _, err := net.Subnet(-1, 1); err == nil {
 		t.Fatal("accepted negative cut")
 	}
-	if _, err := net.ForwardSuffix(x, 2); err == nil {
+	if _, err := net.Subnet(0, 2); err == nil {
 		t.Fatal("accepted cut past the last layer")
 	}
 	if _, err := net.Subnet(1, 0); err == nil {
 		t.Fatal("accepted inverted subnet range")
 	}
-	if _, err := net.PrefixShape(5); err == nil {
-		t.Fatal("accepted out-of-range prefix shape")
+	if _, err := net.Subnet(5, 5); err == nil {
+		t.Fatal("accepted out-of-range subnet")
 	}
-	shape, err := net.PrefixShape(0)
-	if err != nil || len(shape) != 1 || shape[0] != 4 {
-		t.Fatalf("PrefixShape(0) = %v, %v", shape, err)
+	// A view's input shape is the activation shape crossing its first cut.
+	v, err := net.Subnet(0, 1)
+	if err != nil || len(v.InputShape) != 1 || v.InputShape[0] != 4 {
+		t.Fatalf("Subnet(0,1).InputShape = %v, %v", v, err)
 	}
-	shape, err = net.PrefixShape(1)
-	if err != nil || len(shape) != 1 || shape[0] != 2 {
-		t.Fatalf("PrefixShape(1) = %v, %v", shape, err)
+	v, err = net.Subnet(1, 1)
+	if err != nil || len(v.InputShape) != 1 || v.InputShape[0] != 2 {
+		t.Fatalf("Subnet(1,1).InputShape = %v, %v", v, err)
 	}
 }

@@ -29,7 +29,7 @@ func benchSession(b *testing.B, cut int, cloud *CloudTier, model *nn.Network, id
 	dev.SetNet(device.WiFi)
 	plan := market.SplitPlan{Cut: cut}
 	s, err := NewSession(SessionConfig{
-		Tenant: id, VersionID: "bench", Device: dev, Model: model.Clone(),
+		Tenant: id, VersionID: "bench", Device: dev, Exec: Float(model.Clone(), 32),
 		Cloud: cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
 	})
 	if err != nil {
@@ -53,7 +53,7 @@ func BenchmarkOffloadMonolithic(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.Register("bench", model, 32); err != nil {
+	if err := cloud.Register("bench", Float(model, 32)); err != nil {
 		b.Fatal(err)
 	}
 	cloud.Start()
@@ -76,7 +76,7 @@ func BenchmarkOffloadSplit(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.Register("bench", model, 32); err != nil {
+	if err := cloud.Register("bench", Float(model, 32)); err != nil {
 		b.Fatal(err)
 	}
 	cloud.Start()
@@ -105,7 +105,7 @@ func BenchmarkOffloadBatchedCloud(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{MaxBatch: 32, QueueCap: 1024, Dispatchers: 2})
-	if err := cloud.Register("bench", model, 32); err != nil {
+	if err := cloud.Register("bench", Float(model, 32)); err != nil {
 		b.Fatal(err)
 	}
 	cloud.Start()
@@ -141,7 +141,7 @@ func BenchmarkOffloadBatchedCloud(b *testing.B) {
 }
 
 // BenchmarkOffloadEnclaveSuffix mirrors BenchmarkOffloadSplit with one
-// change: the suffix model is registered through RegisterProtected, so
+// change: the suffix model is registered as a Protected executable, so
 // every cloud-side resume executes the enclave-resident copy and pays the
 // protected world's overhead. The delta against OffloadSplit is the price
 // of trusted offload.
@@ -165,7 +165,15 @@ func BenchmarkOffloadEnclaveSuffix(b *testing.B) {
 		b.Fatal(err)
 	}
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.RegisterProtected("bench", esess, "bench-art", 32); err != nil {
+	net, err := esess.Network("bench-art")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prot, err := Protected(esess, Float(net, 32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cloud.Register("bench", prot); err != nil {
 		b.Fatal(err)
 	}
 	cloud.Start()

@@ -7,11 +7,11 @@
 // package is a serving runtime, not a calculator. A Session owns one
 // device's split: it charges prefix compute and radio to the device cost
 // model and every query to the prepaid meter (offloading never escapes
-// pay-per-query), serializes the boundary activation through the tensor
-// codec, and — because the split shares the monolithic model's exact
-// floating-point operations — answers bit-identically to a full on-device
-// forward pass no matter where the cut lands or whether the network
-// failed it back to the edge. A CloudTier is the vendor-side half: a
+// pay-per-query), serializes the boundary activation through its
+// executable's codec, and — because the split shares the monolithic
+// model's exact floating-point operations — answers bit-identically to a
+// full on-device forward pass no matter where the cut lands or whether
+// the network failed it back to the edge. A CloudTier is the vendor-side half: a
 // bounded admission queue that coalesces concurrent suffix requests of
 // the same (version, cut) class into single ForwardBatch calls, drains
 // tenants round-robin so no device starves, and sheds under overload —
@@ -24,14 +24,19 @@
 // improvement — two-stage hysteresis, so the fault plane's weather
 // migrates the cut without making it flap.
 //
-// Three protected registration paths extend the tier beyond plaintext
-// float suffixes. RegisterQuant serves integer-native splits: the device
-// ships its boundary as int8 codes plus a per-example scale (the strict
-// QAB1 wire codec) and the cloud resumes on the same integer kernels, so
-// the split stays bit-identical to the device's own quantized forward.
-// RegisterProtected serves watermarked per-device copies from an enclave
-// session — the protected plaintext never exists cloud-side outside the
-// enclave, and every query is charged the enclave's measured slowdown.
-// RegisterModule hosts compiled procvm modules, whose only split is
-// all-local versus whole-module execution inside the enclave (cut 0).
+// Every served form runs behind one Executable: Float (an nn.Network),
+// Quant (a QModel on the integer kernels), Module (a compiled procvm
+// module, one opaque stage) and Protected (an enclave-hosted network or
+// module). Deployment serving, the Session's device half and the
+// CloudTier's suffix batches all call the same Forward over a stage range
+// with arena scratch, and CloudTier.Register takes any of them. The
+// executable's Codec is its boundary wire format: float executables ship
+// the tensor codec; integer ones ship int8 codes plus a per-example scale
+// (the strict QAB1 codec) and the cloud resumes the same integer kernels
+// from the codes, so the split stays bit-identical to the device's own
+// quantized forward. A Protected executable keeps the watermarked
+// per-device copy or the compiled module inside the enclave session —
+// the plaintext never exists cloud-side outside it — and charges every
+// query the enclave's measured slowdown. A module's only split is
+// all-local versus whole-module remote execution (cut 0).
 package offload

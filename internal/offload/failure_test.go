@@ -123,7 +123,7 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 		nn.NewDense(24, 12, rng), nn.NewSigmoid(),
 		nn.NewDense(12, 3, rng))
 	cloud := NewCloud(CloudConfig{QueueCap: 4 * nDevices, MaxBatch: 8, Dispatchers: 2})
-	if err := cloud.Register("v1", model, 32); err != nil {
+	if err := cloud.Register("v1", Float(model, 32)); err != nil {
 		t.Fatal(err)
 	}
 	cloud.Start()
@@ -164,7 +164,7 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 			rp.Disabled = true
 		}
 		sess, err := NewSession(SessionConfig{
-			Tenant: id, VersionID: "v1", Device: dev, Model: model.Clone(),
+			Tenant: id, VersionID: "v1", Device: dev, Exec: Float(model.Clone(), 32),
 			Meter: meter, Cloud: cloud, Plan: &plan, Replan: rp,
 		})
 		if err != nil {

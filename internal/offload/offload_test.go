@@ -12,6 +12,7 @@ import (
 	"tinymlops/internal/market"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
+	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
 
@@ -37,7 +38,7 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig, quota uint64
 		nn.NewDense(32, 16, rng), nn.NewTanh(),
 		nn.NewDense(16, 4, rng))
 	cloud := NewCloud(cloudCfg)
-	if err := cloud.Register("v1", model, 32); err != nil {
+	if err := cloud.Register("v1", Float(model, 32)); err != nil {
 		t.Fatal(err)
 	}
 	issuer, err := metering.NewIssuer([]byte("offload-test-key-0123456789abcdef"))
@@ -55,7 +56,7 @@ func (f *fixture) session(t *testing.T, cut int) *Session {
 	t.Helper()
 	plan := market.SplitPlan{Cut: cut}
 	s, err := NewSession(SessionConfig{
-		VersionID: "v1", Device: f.dev, Model: f.model, Meter: f.meter,
+		VersionID: "v1", Device: f.dev, Exec: Float(f.model, 32), Meter: f.meter,
 		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
 	})
 	if err != nil {
@@ -139,6 +140,52 @@ func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 		}
 		f.cloud.Close()
 	}
+
+	// Every executable kind, at every valid cut, on both legs: an open
+	// cloud serves the suffix (ModeSplit), a closed one forces the device
+	// to finish it (ModeFallback). The fallback feeds an arena-backed
+	// prefix result into a suffix drawing on the same arena, so two
+	// queries per session also catch scratch aliasing across the cut.
+	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f.cloud.Start()
+	defer f.cloud.Close()
+	closed := NewCloud(CloudConfig{})
+	closed.Close()
+	for _, k := range execKinds(t, f) {
+		n := k.device.Stages()
+		for cut := 0; cut < n; cut++ {
+			if k.device.SnapCut(cut) != cut {
+				continue
+			}
+			for _, leg := range []struct {
+				cloud *CloudTier
+				mode  Mode
+			}{{f.cloud, ModeSplit}, {closed, ModeFallback}} {
+				plan := market.SplitPlan{Cut: cut}
+				s, err := NewSession(SessionConfig{
+					VersionID: k.version, Device: f.dev, Exec: k.device,
+					Cloud: leg.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
+				})
+				if err != nil {
+					t.Fatalf("%s cut %d: %v", k.name, cut, err)
+				}
+				for q := uint64(0); q < 2; q++ {
+					x := f.input(60 + q)
+					want := k.reference(t, x)
+					res, err := s.Exec(x)
+					if err != nil {
+						t.Fatalf("%s cut %d %v: %v", k.name, cut, leg.mode, err)
+					}
+					if res.Mode != leg.mode || res.Cut != cut {
+						t.Fatalf("%s cut %d: mode %v cut %d, want %v", k.name, cut, res.Mode, res.Cut, leg.mode)
+					}
+					if !vecBitsEqual(res.Logits, want) {
+						t.Fatalf("%s cut %d %v: logits %v, want %v", k.name, cut, leg.mode, res.Logits, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSessionMeterDeniesBeforeAnyCompute pins the pay-per-query contract:
@@ -188,7 +235,7 @@ func TestCloudFairScheduling(t *testing.T) {
 	})
 	rng := tensor.NewRNG(3)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 8, rng), nn.NewReLU(), nn.NewDense(8, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
+	if err := cloud.Register("v1", Float(model, 32)); err != nil {
 		t.Fatal(err)
 	}
 	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
@@ -241,7 +288,7 @@ func TestCloudBoundedQueueSheds(t *testing.T) {
 	cloud := NewCloud(CloudConfig{MaxBatch: 2, QueueCap: 2, Dispatchers: 1})
 	rng := tensor.NewRNG(5)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
+	if err := cloud.Register("v1", Float(model, 32)); err != nil {
 		t.Fatal(err)
 	}
 	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
@@ -272,7 +319,7 @@ func TestCloudSubmitValidation(t *testing.T) {
 	cloud := NewCloud(CloudConfig{})
 	rng := tensor.NewRNG(5)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
+	if err := cloud.Register("v1", Float(model, 32)); err != nil {
 		t.Fatal(err)
 	}
 	good := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
@@ -288,6 +335,38 @@ func TestCloudSubmitValidation(t *testing.T) {
 	bad := encodeAct(t, tensor.FromSlice([]float32{1, 2}, 1, 2))
 	if _, err := cloud.Submit("t", "v1", 0, bad); err == nil {
 		t.Fatal("accepted wrong activation shape")
+	}
+	// The float codec is as strict as QAB1: a valid payload followed by
+	// trailing garbage rejects.
+	trailing := append(append([]byte(nil), good...), 0xde, 0xad)
+	if _, err := cloud.Submit("t", "v1", 0, trailing); err == nil {
+		t.Fatal("accepted a float payload with trailing bytes")
+	}
+	// Each kind rejects the other kind's wire format, and QAB1 payloads
+	// must carry exactly the boundary width.
+	q, err := Quant(model, quant.Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cloud.Register("q", q); err != nil {
+		t.Fatal(err)
+	}
+	var qab bytes.Buffer
+	if err := encodeQAB(&qab, []int8{1, 2, 3, 4}, []float32{0.5}, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cloud.Submit("t", "v1", 0, qab.Bytes()); !errors.Is(err, errWrongCodec) {
+		t.Fatalf("float version given a QAB1 payload: %v", err)
+	}
+	if _, err := cloud.Submit("t", "q", 0, good); !errors.Is(err, errWrongCodec) {
+		t.Fatalf("integer version given a float payload: %v", err)
+	}
+	var narrow bytes.Buffer
+	if err := encodeQAB(&narrow, []int8{1, 2, 3}, []float32{0.5}, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cloud.Submit("t", "q", 0, narrow.Bytes()); err == nil {
+		t.Fatal("accepted a QAB1 payload of the wrong width")
 	}
 	cloud.Close()
 	if _, err := cloud.Submit("t", "v1", 0, good); !errors.Is(err, ErrClosed) {

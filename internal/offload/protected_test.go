@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -25,14 +26,24 @@ func unmeteredSession(t *testing.T, cfg SessionConfig) *Session {
 	return s
 }
 
-// TestQuantSplitSessionBitExact runs an int8 session through the quant
-// registration path: the device quantizes its boundary into QAB1 codes,
-// the cloud resumes on its own QModel, and the split answer must be
-// bit-identical to the device's full integer forward. The local fallback
-// (offline cut) must agree too.
+// mustQuant lowers net onto the integer kernels at scheme.
+func mustQuant(t *testing.T, net *nn.Network, scheme quant.Scheme) Executable {
+	t.Helper()
+	e, err := Quant(net, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestQuantSplitSessionBitExact runs an int8 session against a Quant
+// executable registered in the cloud: the device quantizes its boundary
+// into QAB1 codes, the cloud resumes on its own QModel, and the split
+// answer must be bit-identical to the device's full integer forward. The
+// local fallback (offline cut) must agree too.
 func TestQuantSplitSessionBitExact(t *testing.T) {
 	f := newFixture(t, "phone", CloudConfig{}, 100)
-	if err := f.cloud.RegisterQuant("v1#q", f.model, quant.Int8); err != nil {
+	if err := f.cloud.Register("v1#q", mustQuant(t, f.model, quant.Int8)); err != nil {
 		t.Fatal(err)
 	}
 	if !f.cloud.Registered("v1#q") {
@@ -53,7 +64,7 @@ func TestQuantSplitSessionBitExact(t *testing.T) {
 
 	plan := market.SplitPlan{Cut: 1} // snaps to a dense-stage boundary
 	s := unmeteredSession(t, SessionConfig{
-		VersionID: "v1#q", Device: f.dev, Model: f.model, Scheme: quant.Int8,
+		VersionID: "v1#q", Device: f.dev, Exec: mustQuant(t, f.model, quant.Int8),
 		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
 	})
 	res, err := s.Exec(x)
@@ -83,7 +94,7 @@ func TestQuantSplitSessionBitExact(t *testing.T) {
 }
 
 // TestProtectedSessionBitExact serves the suffix from an enclave-resident
-// copy via RegisterProtected and demands the split answer match the
+// copy through a Protected executable and demands the split answer match the
 // device's own forward bit-for-bit — protection must not perturb results.
 func TestProtectedSessionBitExact(t *testing.T) {
 	f := newFixture(t, "phone", CloudConfig{}, 100)
@@ -103,15 +114,25 @@ func TestProtectedSessionBitExact(t *testing.T) {
 	if _, err := esess.LoadSealedNetwork("copy", sealed); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.cloud.RegisterProtected("v1@dev", esess, "copy", 32); err != nil {
+	prot := mustProtectedNet(t, esess, "copy")
+	if err := f.cloud.Register("v1@dev", prot); err != nil {
 		t.Fatal(err)
 	}
-	// Registering an artifact the session does not hold must fail.
-	if err := f.cloud.RegisterProtected("v1@other", esess, "missing", 32); err == nil {
-		t.Fatal("registered a protected entry with no artifact")
+	// Resolving an artifact the session does not hold must fail.
+	if _, err := esess.Network("missing"); !errors.Is(err, enclave.ErrUnknownArtifact) {
+		t.Fatalf("protected executable with no artifact: %v", err)
 	}
-	if err := f.cloud.RegisterProtected("", nil, "copy", 32); err == nil {
-		t.Fatal("registered without a session")
+	if _, err := Protected(nil, Float(f.model, 32)); err == nil {
+		t.Fatal("built a protected executable without a session")
+	}
+	if _, err := Protected(esess, nil); err == nil {
+		t.Fatal("built a protected executable without an executable")
+	}
+	if err := f.cloud.Register("", prot); err == nil {
+		t.Fatal("registered without a version ID")
+	}
+	if err := f.cloud.Register("v1@nil", nil); err == nil {
+		t.Fatal("registered without an executable")
 	}
 	f.cloud.Start()
 	defer f.cloud.Close()
@@ -120,7 +141,7 @@ func TestProtectedSessionBitExact(t *testing.T) {
 	want := f.expect(x)
 	plan := market.SplitPlan{Cut: 2}
 	s := unmeteredSession(t, SessionConfig{
-		VersionID: "v1@dev", Device: f.dev, Model: f.model,
+		VersionID: "v1@dev", Device: f.dev, Exec: Float(f.model, 32),
 		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
 	})
 	res, err := s.Exec(x)
@@ -161,11 +182,12 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 	for _, c := range mustSummary(t, f.model) {
 		macs += c.Info.MACs
 	}
-	if err := f.cloud.RegisterModule("vm", esess, "mod", macs); err != nil {
+	prot := mustProtectedMod(t, esess, "mod", macs)
+	if err := f.cloud.Register("vm", prot); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.cloud.RegisterModule("vm2", esess, "nope", macs); err == nil {
-		t.Fatal("registered a module entry with no artifact")
+	if _, err := esess.Module("nope"); err == nil {
+		t.Fatal("built a module executable with no artifact")
 	}
 	f.cloud.Start()
 	defer f.cloud.Close()
@@ -182,7 +204,7 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 
 	cloudPlan := market.SplitPlan{Cut: 0}
 	s := unmeteredSession(t, SessionConfig{
-		VersionID: "vm", Device: f.dev, Module: mod, ModuleMACs: macs, InFeatures: 8,
+		VersionID: "vm", Device: f.dev, Exec: Module(mod, mod.Caps, macs, []int{8}),
 		Cloud: f.cloud, Plan: &cloudPlan, Replan: ReplanConfig{Disabled: true},
 	})
 	res, err := s.Exec(x)
@@ -198,7 +220,7 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 
 	localPlan := market.SplitPlan{Cut: 1}
 	l := unmeteredSession(t, SessionConfig{
-		VersionID: "vm", Device: f.dev, Module: mod, ModuleMACs: macs, InFeatures: 8,
+		VersionID: "vm", Device: f.dev, Exec: Module(mod, mod.Caps, macs, []int{8}),
 		Cloud: f.cloud, Plan: &localPlan, Replan: ReplanConfig{Disabled: true},
 	})
 	res, err = l.Exec(x)

@@ -12,8 +12,6 @@ import (
 	"tinymlops/internal/market"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
-	"tinymlops/internal/procvm"
-	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
 
@@ -103,30 +101,14 @@ type SessionConfig struct {
 	VersionID string
 	// Device is the edge node paying for prefix compute and radio.
 	Device *device.Device
-	// Model is the on-device network. It must be private to this session
-	// (prefix execution caches layer state, so two sessions cannot share
-	// one copy), and bit-exactness requires its weights be identical to
-	// the cloud's registered artifact — deployments satisfy both, since
-	// every device owns its decrypted copy of the registry bytes. Nil
-	// exactly when Module is set.
-	Model *nn.Network
-	// Scheme, when an integer scheme, runs both halves of the split on the
-	// integer kernels: the session lowers Model onto a QModel, plans cuts
-	// snapped to dense-stage boundaries, and ships boundaries as int8
-	// codes plus a per-example scale (the QAB1 codec). The cloud entry
-	// must have been registered with RegisterQuant at the same scheme.
-	Scheme quant.Scheme
-	// Module, when non-nil, replaces Model with a compiled procvm
-	// artifact: the only split is all-local versus whole-module execution
-	// on the cloud's enclave (cut 0), planned over ModuleMACs.
-	Module *procvm.Module
-	// ModuleMACs is the module's per-query work for planning (with Module).
-	ModuleMACs int64
-	// InFeatures is the module's input width (required with Module; a
-	// module does not declare its own input geometry).
-	InFeatures int
-	// Bits is the deployed weight precision for latency modeling (≤0 = 32).
-	Bits int
+	// Exec is the on-device executable. It must declare its input shape,
+	// and bit-exactness requires it to compute what the cloud's registered
+	// executable computes — the same weights, kind and scheme. Its codec
+	// is the boundary wire format the session ships, and its SnapCut maps
+	// every planned cut onto a boundary it can cross. Queries serialize
+	// per session, so an executable may be shared with other users that
+	// serialize with the session (a deployment's own serving lock).
+	Exec Executable
 	// Meter, when non-nil, gates every query (pay-per-query survives the
 	// split). Leave nil when an upstream gate already charges, and call
 	// Exec instead of Infer.
@@ -144,31 +126,22 @@ type SessionConfig struct {
 
 // Session executes split inference for one device: it plans (and re-plans)
 // the cut, runs the prefix on the device cost model, ships the boundary
-// activation through the tensor codec, and falls back to full on-device
-// execution whenever the network or the cloud fails the split. All methods
-// are safe for concurrent use; queries serialize per session.
+// activation through the executable's codec, and falls back to full
+// on-device execution whenever the network or the cloud fails the split.
+// All methods are safe for concurrent use; queries serialize per session.
 type Session struct {
 	cfg      SessionConfig
 	costs    []nn.LayerCost
 	features int
 	inShape  []int
-	// Integer-native execution state (nil on float and module sessions):
-	// the QModel lowered from cfg.Model plus the prefix scratch and the
-	// boundary-quantization workspaces.
-	qm      *quant.QModel
-	qs      *quant.QScratch
-	qcodes  []int8
-	qscales []float32
-	// rt executes cfg.Module locally (local plans and fallbacks).
-	rt *procvm.Runtime
 
 	mu     sync.Mutex
 	replan *Replanner
 	tick   uint64
 	stats  Stats
-	// arena holds the session's boundary-codec scratch (the activation
-	// encode buffer): queries serialize under s.mu, so one worker arena
-	// per session keeps the codec allocation-free in the steady state.
+	// arena holds the session's execution scratch and boundary-codec
+	// buffers: queries serialize under s.mu, so one worker arena per
+	// session keeps the steady state allocation-free.
 	arena *engine.Arena
 }
 
@@ -178,54 +151,32 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Device == nil || cfg.Cloud == nil {
 		return nil, fmt.Errorf("offload: session needs a device and a cloud tier")
 	}
-	if (cfg.Model == nil) == (cfg.Module == nil) {
-		return nil, fmt.Errorf("offload: session needs exactly one of a model and a compiled module")
+	if cfg.Exec == nil {
+		return nil, fmt.Errorf("offload: session needs an executable")
 	}
 	if cfg.Tenant == "" {
 		cfg.Tenant = cfg.Device.ID
 	}
-	if cfg.Bits <= 0 {
-		cfg.Bits = 32
-	}
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 3
 	}
-	s := &Session{cfg: cfg, arena: engine.NewArena()}
-	if cfg.Module != nil {
-		if cfg.InFeatures <= 0 {
-			return nil, fmt.Errorf("offload: module session needs InFeatures")
-		}
-		s.costs = []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: cfg.ModuleMACs}}}
-		s.inShape = []int{cfg.InFeatures}
-		s.features = cfg.InFeatures
-		rt := procvm.NewRuntime(cfg.Module.Caps)
-		if cfg.Module.GasLimit > rt.MaxGas {
-			rt.MaxGas = cfg.Module.GasLimit
-		}
-		s.rt = rt
-	} else {
-		costs, err := cfg.Model.Summary()
-		if err != nil {
-			return nil, fmt.Errorf("offload: %w", err)
-		}
-		if len(costs) == 0 {
-			return nil, fmt.Errorf("offload: model has no layers")
-		}
-		s.costs, s.inShape = costs, cfg.Model.InputShape
-		s.features = 1
-		for _, d := range cfg.Model.InputShape {
-			s.features *= d
-		}
-		if cfg.Scheme != quant.Float32 {
-			qm, err := quant.NewQModel(cfg.Model, cfg.Scheme)
-			if err != nil {
-				return nil, fmt.Errorf("offload: %w", err)
-			}
-			s.qm, s.qs = qm, quant.NewQScratch()
-		}
+	costs, err := cfg.Exec.Costs()
+	if err != nil {
+		return nil, fmt.Errorf("offload: %w", err)
+	}
+	if len(costs) == 0 {
+		return nil, fmt.Errorf("offload: model has no layers")
+	}
+	inShape := cfg.Exec.InputShape()
+	if inShape == nil {
+		return nil, fmt.Errorf("offload: session executable declares no input shape")
+	}
+	s := &Session{cfg: cfg, costs: costs, inShape: inShape, features: 1, arena: engine.NewArena()}
+	for _, d := range inShape {
+		s.features *= d
 	}
 	rp, err := NewReplanner(cfg.Replan, cfg.Device.Caps, cfg.Cloud.Caps(), s.costs,
-		cfg.Bits, 4*int64(s.features), cfg.Plan, s.conditions())
+		cfg.Exec.Bits(), 4*int64(s.features), cfg.Plan, s.conditions())
 	if err != nil {
 		return nil, err
 	}
@@ -292,13 +243,11 @@ func (s *Session) exec(x []float32) (Result, error) {
 	if moved {
 		s.stats.Replans++
 	}
-	// The planner works on the float layer graph; an integer-native
-	// session snaps its cut onto the nearest dense-stage boundary the
-	// quantized codec can cross (falling back to all-local when none is).
-	cut := plan.Cut
-	if s.qm != nil {
-		cut = s.qm.SnapCut(cut)
-	}
+	// The planner works on the float layer graph; the executable snaps
+	// the cut onto a boundary its codec can cross (an integer executable
+	// only cuts before a dense stage, falling back to all-local).
+	exe := s.cfg.Exec
+	cut := exe.SnapCut(plan.Cut)
 	res := Result{Cut: cut, Replanned: moved}
 	in := tensor.FromSlice(append([]float32(nil), x...), append([]int{1}, s.inShape...)...)
 	n := len(s.costs)
@@ -306,11 +255,11 @@ func (s *Session) exec(x []float32) (Result, error) {
 
 	// Full-edge plan: one on-device inference, no network at all.
 	if cut == n {
-		lat, err := dev.RunInference(s.macs(0, n), s.cfg.Bits)
+		lat, err := dev.RunInference(s.macs(0, n), exe.Bits())
 		if err != nil {
 			return Result{}, fmt.Errorf("offload: device: %w", err)
 		}
-		out, err := s.forwardPrefix(in, n)
+		out, err := exe.Forward(in, 0, n, s.arena)
 		if err != nil {
 			return Result{}, err
 		}
@@ -328,12 +277,12 @@ func (s *Session) exec(x []float32) (Result, error) {
 	prefixMACs := s.macs(0, cut)
 	if prefixMACs > 0 {
 		var err error
-		if prefixLat, err = dev.RunInference(prefixMACs, s.cfg.Bits); err != nil {
+		if prefixLat, err = dev.RunInference(prefixMACs, exe.Bits()); err != nil {
 			return Result{}, fmt.Errorf("offload: device: %w", err)
 		}
 		res.DeviceEnergyJ += dev.Caps.InferenceEnergy(prefixMACs)
 	}
-	act, err := s.forwardPrefix(in, cut)
+	act, err := exe.Forward(in, 0, cut, s.arena)
 	if err != nil {
 		return Result{}, err
 	}
@@ -341,7 +290,7 @@ func (s *Session) exec(x []float32) (Result, error) {
 	// synchronous and copies what it keeps, so the payload's lifetime ends
 	// at return and the buffer's storage is reused by the next query.
 	buf := s.arena.Buffer(0)
-	if err := s.encodeBoundary(act, buf); err != nil {
+	if err := exe.Codec().Encode(buf, act, s.arena); err != nil {
 		return Result{}, fmt.Errorf("offload: encode activation: %w", err)
 	}
 	payload := buf.Bytes()
@@ -394,15 +343,17 @@ func (s *Session) exec(x []float32) (Result, error) {
 }
 
 // fallback finishes a failed split on-device: the suffix runs locally on
-// the already-computed boundary activation, preserving bit-exactness.
+// the already-computed boundary activation, preserving bit-exactness. An
+// integer executable resumes at stage cut, which quantizes the boundary
+// exactly as the wire codec did, so fallback answers match split answers.
 func (s *Session) fallback(res Result, act *tensor.Tensor, cut int, spent time.Duration) (Result, error) {
 	dev := s.cfg.Device
 	sufMACs := s.macs(cut, len(s.costs))
-	lat, err := dev.RunInference(sufMACs, s.cfg.Bits)
+	lat, err := dev.RunInference(sufMACs, s.cfg.Exec.Bits())
 	if err != nil {
 		return Result{}, fmt.Errorf("offload: fallback: %w", err)
 	}
-	out, err := s.forwardSuffix(act, cut)
+	out, err := s.cfg.Exec.Forward(act, cut, len(s.costs), s.arena)
 	if err != nil {
 		return Result{}, err
 	}
@@ -413,73 +364,6 @@ func (s *Session) fallback(res Result, act *tensor.Tensor, cut int, spent time.D
 	s.stats.Queries++
 	s.stats.Fallbacks++
 	return res, nil
-}
-
-// forwardPrefix runs layers [0, cut) on the session's executor: the float
-// network, the integer kernels, or (for a module session, where the only
-// non-trivial cut is 0) the identity — cut == len(costs) is the full local
-// pass in every mode.
-func (s *Session) forwardPrefix(in *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	switch {
-	case s.cfg.Module != nil:
-		if cut == 0 {
-			return in, nil
-		}
-		return s.runModule(in)
-	case s.qm != nil:
-		return s.qm.ForwardRange(in, s.qs, 0, cut), nil
-	default:
-		return s.cfg.Model.ForwardPrefix(in, cut)
-	}
-}
-
-// forwardSuffix finishes execution locally from the boundary at cut — the
-// fallback half of forwardPrefix. An integer session resumes the integer
-// kernels at stage cut, which quantizes the boundary exactly as the wire
-// codec did, so fallback answers stay bit-identical to split answers.
-func (s *Session) forwardSuffix(act *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	switch {
-	case s.cfg.Module != nil:
-		return s.runModule(act)
-	case s.qm != nil:
-		return s.qm.ForwardRange(act, s.qs, cut, len(s.costs)), nil
-	default:
-		return s.cfg.Model.ForwardSuffix(act, cut)
-	}
-}
-
-// runModule executes the session's compiled module on one input row.
-func (s *Session) runModule(in *tensor.Tensor) (*tensor.Tensor, error) {
-	r, err := s.rt.Run(s.cfg.Module, in.Data)
-	if err != nil {
-		return nil, fmt.Errorf("offload: module: %w", err)
-	}
-	if !r.Output.IsVec {
-		return nil, fmt.Errorf("offload: module produced a scalar, want a vector")
-	}
-	return tensor.FromSlice(append([]float32(nil), r.Output.Vec...), 1, len(r.Output.Vec)), nil
-}
-
-// encodeBoundary serializes the boundary activation for the wire: float
-// sessions use the tensor codec; integer sessions quantize each example
-// with its own dynamic scale — producing the identical codes stage cut
-// would compute locally — and pack them as a QAB1 payload.
-func (s *Session) encodeBoundary(act *tensor.Tensor, buf *bytes.Buffer) error {
-	if s.qm == nil {
-		_, err := act.WriteTo(buf)
-		return err
-	}
-	rows := act.Dim(0)
-	cols := act.Size() / rows
-	if cap(s.qcodes) < rows*cols {
-		s.qcodes = make([]int8, rows*cols)
-	}
-	if cap(s.qscales) < rows {
-		s.qscales = make([]float32, rows)
-	}
-	codes, scales := s.qcodes[:rows*cols], s.qscales[:rows]
-	quant.QuantizeActivationsRows(act, codes, scales)
-	return encodeQAB(buf, codes, scales, rows, cols)
 }
 
 // finish fills the label and logits from the output row.
